@@ -46,7 +46,8 @@ from repro.topology.t2hx import t2hx_hyperx
 SPEEDUP_FLOOR = float(os.environ.get("PERF_SPEEDUP_FLOOR", "10"))
 
 #: Required batched-vs-sequential cold-sweep speedup (the batched
-#: kernel's acceptance bar is 3x over the pinned sequential timings).
+#: kernel's acceptance bar is 3x over the per-destination reference
+#: sweep, timed in the same run).
 BATCH_SPEEDUP_FLOOR = float(os.environ.get("PERF_BATCH_SPEEDUP_FLOOR", "3"))
 
 
@@ -440,43 +441,64 @@ def test_perf_registry_cold_sweeps(benchmark, report_dir):
     )
 
 
-#: Full-plane cold-sweep seconds of the sequential (one Dijkstra per
-#: destination) path, pinned on this class of machine immediately
-#: before the batched kernel landed.  The batched sweeps must beat them
-#: by ``BATCH_SPEEDUP_FLOOR``; the JSON report records both sides.
-SEQUENTIAL_COLD_SWEEP_SECONDS = {"fthx": 1.2, "fatpaths": 7.0}
+#: Timed rounds per route in the batched-vs-sequential gate (best kept).
+SWEEP_ROUNDS = 2
+
+
+def _best_sweep_seconds(make_engine) -> tuple:
+    """Route the faulted 672-node plane ``SWEEP_ROUNDS`` times.
+
+    Returns the last fabric and the best ``engine.compute`` seconds:
+    only the destination sweep is timed, since topology build, LID
+    assignment and VL layering are the same work for every route.
+    """
+    best = np.inf
+    fabric = None
+    for _ in range(SWEEP_ROUNDS):
+        engine = make_engine()
+        compute = engine.compute
+        seconds = []
+
+        def timed(fab, compute=compute, seconds=seconds):
+            t0 = time.perf_counter()
+            compute(fab)
+            seconds.append(time.perf_counter() - t0)
+
+        engine.compute = timed
+        fabric = OpenSM(t2hx_hyperx()).run(engine)
+        best = min(best, seconds[0])
+    return fabric, best
 
 
 def test_perf_batched_cold_sweep_speedup(benchmark, report_dir):
-    """Destination-batched cold sweeps vs the pinned sequential timings.
+    """Destination-batched cold sweeps vs the per-destination reference.
 
     fthx routes one weight *column* per destination (per-column weight
     matrix); fatpaths adds per-layer masked views and the layer-0
     fallback scan — together they exercise every mode of
-    ``tree_core_batch``.  Both must reproduce the engines' golden
-    digests (pinned in tests/test_batched_routing.py) while clearing
-    the speedup floor over the sequential implementation they replaced.
+    ``tree_core_batch``.  The baseline is the per-destination reference
+    sweep (``tests/reference_sweep.py``: one Dijkstra heap per LID),
+    timed in the same run on the same plane.  Both routes must produce
+    the same LFT bytes, and the batched sweep must clear the speedup
+    floor over the reference.
     """
     from repro.routing import create_engine
-    from repro.routing.base import batched_sweep_enabled
+    from tests.reference_sweep import reference_engine
 
-    assert batched_sweep_enabled()
     payload = {}
 
     def sweep(name):
-        t0 = time.perf_counter()
-        fabric = OpenSM(t2hx_hyperx()).run(create_engine(name))
-        new_s = time.perf_counter() - t0
-        seed_s = SEQUENTIAL_COLD_SWEEP_SECONDS[name]
+        fabric, new_s = _best_sweep_seconds(lambda: create_engine(name))
+        ref, ref_s = _best_sweep_seconds(lambda: reference_engine(name))
+        assert _lft_digest(ref) == _lft_digest(fabric), name
         payload[name] = {
             "new_s": new_s,
-            "sequential_s": seed_s,
-            "speedup": seed_s / new_s,
+            "sequential_s": ref_s,
+            "speedup": ref_s / new_s,
             "floor": BATCH_SPEEDUP_FLOOR,
             "num_vls": fabric.num_vls,
             "digest": _lft_digest(fabric),
         }
-        return fabric
 
     benchmark.pedantic(lambda: sweep("fthx"), rounds=1, iterations=1)
     sweep("fatpaths")
@@ -486,7 +508,7 @@ def test_perf_batched_cold_sweep_speedup(benchmark, report_dir):
     (report_dir / "perf_batched_speedup.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )
-    for name in SEQUENTIAL_COLD_SWEEP_SECONDS:
+    for name in ("fthx", "fatpaths"):
         assert payload[name]["speedup"] >= BATCH_SPEEDUP_FLOOR, payload
 
 

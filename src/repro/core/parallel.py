@@ -27,11 +27,14 @@ in a shared dense buffer (tree sweeps write plid columns; table walks
 write verdict columns) or come back over the result queue when they are
 small per-worker partials (per-link load sums, incidence key sets).
 
-Every entry point degrades gracefully to the serial path: worker count
+Every entry point degrades gracefully to in-process work: worker count
 of one, column counts under :func:`get_column_floor`, pool spawn
-failure, or a worker dying mid-job all return the caller to its
-destination-chunked loop (and count a ``serial_fallbacks`` stat).
-A failed pool is torn down and respawned on the next job.
+failure, or a worker dying mid-job all run the same per-column kernels
+in the calling process.  Tree sweeps run the very shard op the workers
+run (``_op_tree``) on a plain buffer; the analysis passes return the
+caller to its destination-chunked loop.  Pool failures count a
+``serial_fallbacks`` stat, and a failed pool is torn down and respawned
+on the next job.
 
 Control surface
 ---------------
@@ -158,7 +161,7 @@ def reset_parallel_stats() -> None:
 
 
 class SweepPoolError(RuntimeError):
-    """A sweep worker died or errored mid-job (caller falls back serial)."""
+    """A sweep worker died or errored mid-job (the job runs in process)."""
 
 
 # --------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def _weight_evaluator(
     """Compile a weight spec into ``cols -> (num_links,) | (num_links, k)``.
 
     ``cols`` are *global* column indices of the sweep; per-column specs
-    evaluate exactly the serial engine's per-column expressions, so the
+    evaluate exactly the engine's per-column expressions, so the
     produced weights are bit-equal to the parent's
     (see ``weights_block_core`` in :mod:`repro.routing.fthx`).
     """
@@ -246,9 +249,10 @@ def _weight_evaluator(
 def _op_tree(task: dict[str, Any], shms: list[SharedMemory]) -> None:
     """Route a shard of destination columns into the shared plid buffer.
 
-    Splits the shard into ``block_cols``-wide kernel calls (the same
-    budget the serial sweep uses); columns are independent, so the
+    Splits the shard into ``block_cols``-wide kernel calls (the chunk
+    budget, resolved by the parent); columns are independent, so the
     sub-block boundaries cannot change a single output bit.
+    :func:`run_tree_job` also runs this op in process, on plain arrays.
     """
     from repro.routing.arrays import tree_core_batch
 
@@ -266,8 +270,9 @@ def _op_tree(task: dict[str, Any], shms: list[SharedMemory]) -> None:
     evaluate = _weight_evaluator(task["weights"], shms)
     for lo in range(0, cols.size, block):
         sub = cols[lo : lo + block]
-        weights = evaluate(sub)
-        plid, _ = tree_core_batch(graph, roots[lo : lo + block], weights)
+        # Weights are passed inline so one block's matrix is freed
+        # before the next block's is built.
+        plid, _ = tree_core_batch(graph, roots[lo : lo + block], evaluate(sub))
         out[:, sub] = plid
 
 
@@ -624,9 +629,10 @@ class TreeJob:
 
     ``weights`` is a plain dict (``kind`` of ``unit`` / ``array`` /
     ``fthx`` plus raw ndarrays) — :func:`run_tree_job` moves the arrays
-    into shared memory; the in-process tests pass them through as-is.
-    ``extra`` carries engine context (e.g. fatpaths' sweep state) from
-    job construction to column installation untouched.
+    into shared memory; the in-process route passes them through as-is.
+    ``extra`` carries engine context (e.g. fatpaths' link profile and
+    layers) from job construction to the engine's post-kernel hook
+    untouched.
     """
 
     num_switches: int
@@ -641,16 +647,21 @@ class TreeJob:
 
 @dataclass
 class SweepResult:
-    """Shared plid buffer of a finished sweep; ``release()`` when installed."""
+    """Plid buffer of a finished sweep; ``release()`` when installed.
+
+    The buffer is a shared segment when the pool routed the sweep and a
+    plain array when it ran in process (``_segs`` is then ``None``).
+    """
 
     plid: np.ndarray
-    _segs: _JobSegments
+    _segs: _JobSegments | None = None
 
     def release(self) -> None:
-        self._segs.release()
+        if self._segs is not None:
+            self._segs.release()
 
 
-def _share_weight_spec(
+def _share_arrays(
     spec: dict[str, Any], segs: _JobSegments
 ) -> dict[str, Any]:
     return {
@@ -659,14 +670,46 @@ def _share_weight_spec(
     }
 
 
-def run_tree_job(job: TreeJob) -> SweepResult | None:
-    """Execute a sweep on the pool; None means "route serially instead".
+def run_tree_job(job: TreeJob) -> SweepResult:
+    """Route every column of a sweep; the one entry point for tree jobs.
 
     The returned ``(num_switches, K)`` int32 plid buffer holds, column
-    for column, exactly what ``tree_core_batch`` would have produced in
-    the serial block loop (columns are independent and the weight spec
-    reproduces the engine's per-column weights bit for bit).
+    for column, what ``tree_core_batch`` produces for the job's weight
+    spec.  The pool routes the sweep when the width is above 1 and the
+    column count reaches the floor; otherwise, and whenever the pool
+    fails, the same ``_op_tree`` shard op runs in this process on a
+    plain buffer.  Columns are independent, so the bits never depend on
+    where they were routed.
     """
+    result = _run_tree_job_on_pool(job)
+    if result is not None:
+        return result
+    plid = np.full((job.num_switches, int(job.roots.size)), -1, np.int32)
+    for shard in job.shards:
+        cols = np.asarray(shard.cols, dtype=np.int64)
+        _op_tree({
+            "graph": _graph_arrays(shard.graph),
+            "out": plid,
+            "cols": cols,
+            "roots": job.roots[cols],
+            "weights": job.weights,
+            "block_cols": job.block_cols,
+        }, [])
+    return SweepResult(plid=plid)
+
+
+def _graph_arrays(graph: Any) -> dict[str, Any]:
+    """The CSR arrays of a graph view that ``_op_tree`` reads."""
+    return {
+        "num_switches": int(graph.num_switches),
+        "in_ptr": graph.in_ptr,
+        "in_src": graph.in_src,
+        "in_link": graph.in_link,
+    }
+
+
+def _run_tree_job_on_pool(job: TreeJob) -> SweepResult | None:
+    """The sweep on the pool; None means "route in process instead"."""
     workers = get_sweep_workers()
     k = int(job.roots.size)
     if workers <= 1 or k < get_column_floor():
@@ -680,18 +723,13 @@ def run_tree_job(job: TreeJob) -> SweepResult | None:
         out_desc, out_view = segs.alloc(
             (job.num_switches, k), np.int32, fill=-1
         )
-        weight_spec = _share_weight_spec(job.weights, segs)
+        weight_spec = _share_arrays(job.weights, segs)
         graph_descs: dict[int, dict[str, Any]] = {}
         tasks: list[dict[str, Any]] = []
         for shard in job.shards:
             gd = graph_descs.get(id(shard.graph))
             if gd is None:
-                gd = {
-                    "num_switches": int(shard.graph.num_switches),
-                    "in_ptr": segs.share(shard.graph.in_ptr),
-                    "in_src": segs.share(shard.graph.in_src),
-                    "in_link": segs.share(shard.graph.in_link),
-                }
+                gd = _share_arrays(_graph_arrays(shard.graph), segs)
                 graph_descs[id(shard.graph)] = gd
             cols = np.asarray(shard.cols, dtype=np.int64)
             for lo, hi in _shard_ranges(cols.size, workers):

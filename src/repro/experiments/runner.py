@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import copy
 import json
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable
 
@@ -168,77 +167,16 @@ class CapabilityResult:
         return min(self.values) if not self.higher_is_better else max(self.values)
 
 
-#: Legacy keyword parameters of the pre-RunSpec ``run_capability`` in
-#: positional order, for the back-compat shim.
-_LEGACY_PARAMS = (
-    "measure", "num_nodes", "reps", "scale", "seed", "sim_mode",
-    "rank_phases_for_profile", "higher_is_better", "with_faults",
-    "preflight",
-)
-
-
-def run_capability(spec, *args, **kwargs) -> CapabilityResult:
-    """Measure one benchmark at one scale under one combination.
-
-    Primary form::
-
-        run_capability(spec, measure,
-                       rank_phases_for_profile=None,
-                       higher_is_better=False)
-
-    where ``spec`` is a :class:`RunSpec` and ``measure(job, sim)``
-    returns the benchmark's metric for a single run.
-
-    The pre-1.1 keyword form ``run_capability(combo, benchmark,
-    measure=..., num_nodes=..., ...)`` still works through a thin shim
-    (deprecated; it will be removed one minor release after 1.1 — see
-    README "Migrating to RunSpec").
-    """
-    if isinstance(spec, RunSpec):
-        return _run_capability(spec, *args, **kwargs)
-    if not isinstance(spec, Combination):
-        raise ConfigurationError(
-            f"run_capability expects a RunSpec (or legacy Combination), "
-            f"got {type(spec).__name__}"
-        )
-    warnings.warn(
-        "run_capability(combo, benchmark, ...) is deprecated; build a "
-        "RunSpec and call run_capability(spec, measure, ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if args and isinstance(args[0], str):
-        benchmark, args = args[0], args[1:]
-    else:
-        benchmark = kwargs.pop("benchmark")
-    params = dict(zip(_LEGACY_PARAMS, args))
-    overlap = set(params) & set(kwargs)
-    if overlap:
-        raise TypeError(
-            f"run_capability got multiple values for {sorted(overlap)}"
-        )
-    params.update(kwargs)
-    legacy_spec = RunSpec(
-        combo_key=spec.key,
-        benchmark=benchmark,
-        num_nodes=params.pop("num_nodes"),
-        reps=params.pop("reps", 3),
-        scale=params.pop("scale", 1),
-        seed=params.pop("seed", 0),
-        sim_mode=params.pop("sim_mode", "dynamic"),
-        faults=params.pop("with_faults", True),
-        preflight=params.pop("preflight", True),
-    )
-    return _run_capability(legacy_spec, params.pop("measure"), **params)
-
-
-def _run_capability(
+def run_capability(
     spec: RunSpec,
     measure: Callable[[Job, FlowSimulator], float],
     rank_phases_for_profile=None,
     higher_is_better: bool = False,
 ) -> CapabilityResult:
-    """The real capability flow, RunSpec form.
+    """Measure one benchmark at one scale under one combination.
+
+    ``measure(job, sim)`` returns the benchmark's metric for a single
+    run.
 
     For PARX combinations, ``rank_phases_for_profile`` (the workload's
     expanded communication, if the caller has it) is profiled and turned
@@ -337,6 +275,14 @@ def _run_capability(
         job.pml.reset()
         if base_value is None:
             base_value = measure(job, sim)
+            if sim.events_truncated:
+                # The dynamic mode's safety valve approximated late
+                # completions: the value is not a clean measurement.
+                raise ReproError(
+                    f"{spec.cell_id}: the simulator truncated "
+                    f"{sim.events_truncated} flow(s) at its per-phase "
+                    "event cap; the measured value is approximate"
+                )
         # System noise: the deterministic flow model yields the
         # noise-free value; repetitions scatter around it.
         result.values.append(

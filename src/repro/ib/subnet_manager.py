@@ -453,10 +453,9 @@ class OpenSM:
         plain SSSP on the HyperX.
 
         With sweep workers configured (:mod:`repro.core.parallel`),
-        ``parallel_sweep_safe`` engines shard the cold sweep's
-        destination columns across the worker pool inside
-        ``engine.compute`` — tables, lanes, and notes stay bit-identical
-        at any worker count.
+        destination-tree engines shard the cold sweep's destination
+        columns across the worker pool inside ``engine.compute`` —
+        tables, lanes, and notes stay bit-identical at any worker count.
         """
         engine.check_topology(self.net)
         lidmap = self._resolve_lidmap(engine)

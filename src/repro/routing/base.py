@@ -10,60 +10,17 @@ manager's business.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Collection,
-    Iterator,
-    Mapping,
-    Sequence,
-)
+from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.chunking import items_per_chunk
 from repro.core.errors import UnreachableError
+from repro.core.parallel import TreeJob, TreeShard, run_tree_job
 from repro.ib.fabric import Fabric
 
 if TYPE_CHECKING:
-    from repro.core.parallel import TreeJob
     from repro.topology.network import Network
-
-_batched_sweep = True
-
-
-def batched_sweep_enabled() -> bool:
-    """Whether batched-capable engines route destination blocks.
-
-    On by default; the equivalence tests flip it off to force the
-    sequential per-destination path and compare outputs bit for bit.
-    """
-    return _batched_sweep
-
-
-def set_batched_sweep(enabled: bool) -> bool:
-    """Toggle the batched sweep globally; returns the previous value."""
-    global _batched_sweep
-    previous = _batched_sweep
-    _batched_sweep = bool(enabled)
-    return previous
-
-
-@contextmanager
-def batched_sweep(enabled: bool) -> Iterator[None]:
-    """``with batched_sweep(False): ...`` — scoped toggle override.
-
-    Restores the previous setting on exit even when the body raises, so
-    a failing equivalence test cannot leave the whole suite running the
-    sequential path.
-    """
-    previous = set_batched_sweep(enabled)
-    try:
-        yield
-    finally:
-        set_batched_sweep(previous)
 
 
 class RoutingEngine(ABC):
@@ -94,22 +51,6 @@ class RoutingEngine(ABC):
     #: destination trees with bit-identical results; they set this True
     #: and implement :meth:`recompute_destinations`.
     supports_incremental_resweep: bool = False
-    #: Engines whose per-destination weights are independent of other
-    #: destinations can route whole destination blocks per numpy pass
-    #: (:func:`repro.routing.arrays.tree_core_batch`) instead of one
-    #: Python heap per LID, with bit-identical tables; they set this
-    #: True.  The sequential path stays available behind
-    #: :func:`set_batched_sweep` as the executable spec.
-    supports_batched_sweep: bool = False
-    #: Batched engines whose per-column weights can be *declared* — as
-    #: shared arrays plus a per-column recipe — rather than computed,
-    #: additionally implement :meth:`_sweep_job`/:meth:`_install_sweep`
-    #: and set this True: their cold sweeps and large re-sweeps then
-    #: shard destination columns across the worker pool
-    #: (:mod:`repro.core.parallel`) with bit-identical tables at any
-    #: worker count.  Engines with cross-destination weight feedback
-    #: (the SSSP family) can never set this.
-    parallel_sweep_safe: bool = False
     #: Subnet-manager settings this engine needs to operate (e.g. PARX
     #: declares ``{"lmc": 2, "lid_policy": "quadrant"}``).  Consumed by
     #: :meth:`repro.ib.subnet_manager.OpenSM.run` for every parameter
@@ -173,78 +114,90 @@ class RoutingEngine(ABC):
             f"{self.name} does not support incremental re-sweeps"
         )
 
-    def _sweep_job(
-        self, fabric: Fabric, dlids: list[int]
-    ) -> "TreeJob | None":
-        """Describe a full sweep over ``dlids`` as a pool job.
-
-        ``parallel_sweep_safe`` engines return a
-        :class:`~repro.core.parallel.TreeJob` whose weight spec and
-        graph shards reproduce the serial block loop's kernel inputs
-        column for column; ``None`` declines (weights not shareable for
-        this fabric) and keeps the sweep serial.
-        """
-        return None
-
-    def _install_sweep(
-        self,
-        fabric: Fabric,
-        dlids: list[int],
-        job: "TreeJob",
-        plid: np.ndarray,
-    ) -> None:
-        """Install a finished pool sweep's plid buffer into the tables.
-
-        Runs parent-side, in global LID order, with the engine's own
-        unreachable handling — the exact installation the serial path
-        performs, just fed from the shared buffer.
-        """
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def parallel_route_columns(
-    engine: RoutingEngine,
-    fabric: Fabric,
-    dlids: Sequence[int],
-    *,
-    before_install: Callable[[], None] | None = None,
-) -> bool:
-    """Try to run one sweep over ``dlids`` on the worker pool.
+class DestinationTreeEngine(RoutingEngine):
+    """Engines whose destination trees are independent of each other.
 
-    Returns True when the pool routed *and installed* every column —
-    the caller's serial block loop is then already done.  False means
-    "route serially": the engine is not pool-safe, parallelism is off,
-    the column count is under the floor, the engine declined to build a
-    job, or the pool failed (spawn failure / worker death — both count
-    a ``serial_fallbacks`` stat and tear the pool down).
-
-    ``before_install`` runs after the pool has produced the full result
-    but before any column is installed — re-sweeps pass their
-    column-reset pass here, so a pool failure leaves the old tables
-    fully intact for the serial fallback.
+    Every tree is a pure function of (topology, destination LID): no
+    weight feedback couples destinations.  A sweep is then fully
+    described by a :class:`~repro.core.parallel.TreeJob` — a declarative
+    weight spec plus graph shards — and every sweep, cold or
+    incremental, runs the same path: :func:`run_tree_job` routes the
+    columns (on the worker pool when one is configured, in process
+    otherwise) and the columns install in LID order.  Subclasses
+    implement :meth:`_tree_job`, and :meth:`_after_kernel` when they
+    post-process the kernel output.
     """
-    if not getattr(engine, "parallel_sweep_safe", False):
-        return False
-    from repro.core import parallel as par
 
-    if par.get_sweep_workers() <= 1 or len(dlids) < par.get_column_floor():
-        return False
-    job = engine._sweep_job(fabric, list(dlids))
-    if job is None:
-        return False
-    result = par.run_tree_job(job)
-    if result is None:
-        return False
-    try:
-        if before_install is not None:
-            before_install()
-        engine._install_sweep(fabric, list(dlids), job, result.plid)
-    finally:
-        result.release()
-    return True
+    # Nothing couples destinations, so recomputing a subset of trees
+    # reproduces a full sweep bit for bit.
+    supports_incremental_resweep = True
+
+    @abstractmethod
+    def _tree_job(self, fabric: Fabric, dlids: list[int]) -> TreeJob:
+        """Describe the sweep over ``dlids`` (column ``j`` = ``dlids[j]``)."""
+
+    def _after_kernel(
+        self, fabric: Fabric, dlids: list[int], job: TreeJob, plid: np.ndarray
+    ) -> None:
+        """Adjust the kernel's ``(V, K)`` output before installation.
+
+        Runs once per sweep, in the parent, before any column is reset
+        or installed.  The default leaves the output as routed.
+        """
+
+    def _on_unreachable(self, fabric: Fabric, dlid: int, switch: int) -> None:
+        """A terminal-hosting ``switch`` has no route to ``dlid``.
+
+        Raises :class:`UnreachableError`; an override that returns
+        instead lets the column install with that switch's entry unset.
+        """
+        raise UnreachableError(
+            f"switch {switch} cannot reach destination lid {dlid}"
+        )
+
+    def compute(self, fabric: Fabric) -> None:
+        self._sweep(fabric, fabric.lidmap.terminal_lids(fabric.net))
+
+    def recompute_destinations(
+        self, fabric: Fabric, dlids: Collection[int]
+    ) -> None:
+        """Rebuild only the given destination columns.
+
+        Every column is reset (old entries dropped, ejection hop kept)
+        once the kernel output is in hand and before any column
+        installs, so a sweep that raises :class:`UnreachableError`
+        leaves the same tables at any worker count.
+        """
+        self._sweep(fabric, sorted(dlids), reset=True)
+
+    def _sweep(
+        self, fabric: Fabric, dlids: list[int], *, reset: bool = False
+    ) -> None:
+        job = self._tree_job(fabric, dlids)
+        result = run_tree_job(job)
+        try:
+            self._after_kernel(fabric, dlids, job, result.plid)
+            if reset:
+                for dlid in dlids:
+                    self._reset_column(fabric, dlid)
+            install_tree_columns(
+                fabric, dlids, job.dest_switches, result.plid,
+                lambda dlid, sw: self._on_unreachable(fabric, dlid, sw),
+            )
+        finally:
+            result.release()
+
+    @staticmethod
+    def _reset_column(fabric: Fabric, dlid: int) -> None:
+        net = fabric.net
+        fabric.tables.clear_column(dlid)
+        t = fabric.lidmap.node_of(dlid)
+        down = net.terminal_uplink(t).reverse_id
+        fabric.set_route(net.attached_switch(t), dlid, down)
 
 
 def install_tree(fabric: Fabric, dlid: int, parent: dict[int, int]) -> None:
@@ -280,53 +233,46 @@ def destination_block_width(fabric: Fabric) -> int:
     Each destination column costs one per-link weight column plus the
     kernel's per-switch state; the width keeps a block's transient
     working set under the :mod:`repro.core.chunking` budget regardless
-    of fabric size.  Pool workers receive this width *resolved* by the
-    parent (spawned processes would otherwise miss runtime
-    ``set_chunk_bytes`` overrides) so their kernel sub-blocks match the
-    serial loop's.
+    of fabric size.  Tree jobs carry this width *resolved* (spawned
+    pool workers would otherwise miss runtime ``set_chunk_bytes``
+    overrides), so every process routes the same sub-blocks.
     """
     net = fabric.net
     per_dlid = len(net.links) * 8 + net.num_switches * 32
     return items_per_chunk(per_dlid)
 
 
-def destination_blocks(
-    fabric: Fabric, dlids: Sequence[int]
-) -> list[list[int]]:
-    """Split a destination list into kernel-sized blocks.
+def destination_switches(fabric: Fabric, dlids: Sequence[int]) -> list[int]:
+    """The switch each destination LID's terminal is attached to."""
+    net = fabric.net
+    return [net.attached_switch(fabric.lidmap.node_of(d)) for d in dlids]
 
-    Block width is bounded by the shared chunk budget — see
-    :func:`destination_block_width`.
+
+def tree_job(
+    fabric: Fabric,
+    dest_switches: list[int],
+    weights: dict[str, Any],
+    shards: list[TreeShard] | None = None,
+    extra: Any = None,
+) -> TreeJob:
+    """A :class:`TreeJob` over the fabric's switch graph.
+
+    Without ``shards`` every column routes over the unmasked graph.
     """
-    k = destination_block_width(fabric)
-    return [list(dlids[i : i + k]) for i in range(0, len(dlids), k)]
-
-
-def column_tree(
-    graph: Any, plid_col: np.ndarray, hops_col: np.ndarray | None = None
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Rebuild the sequential ``(parent, hops)`` dicts from one kernel column.
-
-    Only used on the unreachable-destination slow path, where an
-    engine's overridable ``_check_reach`` expects the dict view the
-    per-destination loop (:func:`~repro.routing.dijkstra.tree_to_destination`)
-    would have handed it.  ``hops`` is empty when ``hops_col`` is not
-    supplied (engines whose reach check ignores it).
-    """
-    from repro.routing.arrays import UNREACHED_HOPS
-
-    switches = graph.switches
-    parent = {
-        switches[u]: int(plid_col[u])
-        for u in np.flatnonzero(plid_col >= 0).tolist()
-    }
-    hops: dict[int, int] = {}
-    if hops_col is not None:
-        hops = {
-            switches[u]: int(hops_col[u])
-            for u in np.flatnonzero(hops_col != UNREACHED_HOPS).tolist()
-        }
-    return parent, hops
+    graph = fabric.net.switch_graph()
+    if shards is None:
+        cols = np.arange(len(dest_switches), dtype=np.int64)
+        shards = [TreeShard(graph=graph, cols=cols)]
+    return TreeJob(
+        num_switches=graph.num_switches,
+        num_links=len(fabric.net.links),
+        roots=graph.index[np.asarray(dest_switches, dtype=np.int64)],
+        dest_switches=dest_switches,
+        weights=weights,
+        shards=shards,
+        block_cols=destination_block_width(fabric),
+        extra=extra,
+    )
 
 
 def install_tree_columns(
@@ -334,25 +280,18 @@ def install_tree_columns(
     dlids: Sequence[int],
     dest_switches: Sequence[int],
     plid: np.ndarray,
-    *,
-    on_unreachable: Callable[[int, int, int], None] | None = None,
+    on_unreachable: Callable[[int, int], None],
 ) -> None:
     """Check reach and install one kernel output block, column by column.
 
     ``plid`` is :func:`repro.routing.arrays.tree_core_batch` output for
     ``dlids`` (column ``j`` routes ``dlids[j]`` toward node id
     ``dest_switches[j]``).  Columns are checked *and* installed in
-    ``dlids`` order, so an unreachable destination mid-block raises the
-    sequential path's exact :class:`UnreachableError` — first failing
-    LID, first failing switch in ``host_switches`` order — with every
-    earlier column already installed, just as the per-destination loop
-    would leave the tables.
-
-    ``on_unreachable(j, dlid, dsw)`` replaces the default raise: engines
-    pass an adapter that routes the failure through their overridable
-    ``_check_reach`` hook (see :func:`column_tree`), so subclasses that
-    tolerate partitioned fabrics behave identically batched and
-    sequential — the column installs with unreached rows left at ``-1``.
+    ``dlids`` order: ``on_unreachable(dlid, switch)`` runs for the first
+    terminal-hosting switch (in ``host_switches`` order) a column leaves
+    unrouted, with every earlier column already installed.  When it
+    returns instead of raising, the column installs with its unreached
+    rows left unset.
     """
     graph = fabric.net.switch_graph()
     tables = fabric.tables
@@ -365,11 +304,7 @@ def install_tree_columns(
         for u in missing.tolist():
             sw = graph.switches[u]
             if sw != dsw:
-                if on_unreachable is None:
-                    raise UnreachableError(
-                        f"switch {sw} cannot reach destination lid {dlid}"
-                    )
-                on_unreachable(j, dlid, dsw)
+                on_unreachable(dlid, sw)
                 break
         rows = np.flatnonzero(column >= 0)
         links = column[rows]

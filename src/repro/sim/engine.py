@@ -185,6 +185,10 @@ class FlowSimulator:
         #: ``(event, representative link id)`` pairs, in firing order.
         self.events_applied: list[tuple[FabricEvent, int]] = []
         self.messages_rerouted = 0
+        #: Flows the dynamic safety valve finished at their current rates,
+        #: summed over every phase this simulator ran — non-zero means
+        #: some completion times it reported are approximate.
+        self.events_truncated = 0
         #: Whatever ``on_fabric_event`` returned, per event batch
         #: (RerouteReports when the hook is an SM re-sweep).
         self.reroute_reports: list[Any] = []
@@ -276,6 +280,7 @@ class FlowSimulator:
             finish = self._static_finish(msgs, problem, sizes)
         else:
             finish, truncated = self._dynamic_finish(msgs, problem, sizes)
+            self.events_truncated += truncated
 
         # Per-phase busy-seconds snapshot: bytes over each link divided
         # by the capacity in effect *now*, while the phase's bytes move.

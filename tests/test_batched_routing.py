@@ -9,9 +9,11 @@ together three ways:
 * hypothesis-fuzzed kernel equivalence on random weights and random
   link masks, column by column against the sequential tree;
 * whole-fabric bit-equality (dense matrix, overflow, notes, lanes) of
-  a batched sweep against a forced-sequential sweep, for every engine
-  that declares ``supports_batched_sweep`` — full sweeps, fallbacks,
-  and incremental re-sweeps after cable faults;
+  the batched sweep of every destination-tree engine against the
+  per-destination reference sweep (:mod:`tests.reference_sweep`), in
+  process and on a two-worker pool — full sweeps, fallbacks, and
+  incremental re-sweeps after cable faults — plus the tables a re-sweep
+  leaves behind when a destination is unreachable;
 * frozen 672-node golden LFT digests per batched engine.
 
 The chunked dense passes (destination-chunked table walkers, load
@@ -36,32 +38,44 @@ from repro.core.chunking import (
     items_per_chunk,
     set_chunk_bytes,
 )
-from repro.core.errors import RoutingError
+from repro.core.errors import RoutingError, UnreachableError
+from repro.core.parallel import (
+    column_floor,
+    parallel_stats,
+    reset_parallel_stats,
+    shutdown_sweep_pool,
+    sweep_workers,
+)
 from repro.ib.fabric import Fabric
 from repro.ib.subnet_manager import OpenSM, resweep
 from repro.ib.tables import table_dtype_for
 from repro.routing import create_engine, engine_names
 from repro.routing.arrays import UNREACHED_HOPS, tree_core_batch
-from repro.routing.base import (
-    batched_sweep,
-    batched_sweep_enabled,
-    set_batched_sweep,
-)
+from repro.routing.base import DestinationTreeEngine, destination_block_width
 from repro.routing.dijkstra import tree_to_destination
 from repro.topology.hyperx import hyperx
 from repro.topology.t2hx import t2hx_hyperx
 from repro.topology.torus import torus
+from tests.reference_sweep import reference_engine
 
 BATCHED_ENGINES = [
-    n for n in engine_names() if create_engine(n).supports_batched_sweep
+    n for n in engine_names()
+    if isinstance(create_engine(n), DestinationTreeEngine)
 ]
 
+#: Sweep widths the batched sweep is checked at: in process, and on a pool.
+WIDTHS = (1, 2)
 
-def _sweep(name, *, batched, net=None, scale=2, seed=1):
-    with batched_sweep(batched):
+
+def _engine(name, reference):
+    return reference_engine(name) if reference else create_engine(name)
+
+
+def _sweep(name, *, reference=False, width=1, net=None, scale=2, seed=1):
+    with sweep_workers(width), column_floor(1):
         if net is None:
             net = t2hx_hyperx(with_faults=True, seed=seed, scale=scale)
-        return OpenSM(net).run(create_engine(name))
+        return OpenSM(net).run(_engine(name, reference))
 
 
 def _assert_fabrics_equal(fa, fb):
@@ -132,67 +146,95 @@ class TestBatchKernelEquivalence:
                 assert plid[u, c] == parent.get(sw, -1)
 
 
+
+
 class TestBatchedSweepEquality:
-    """Whole-fabric bit-equality, batched vs forced-sequential."""
+    """Whole-fabric bit-equality, batched sweep vs per-destination oracle."""
+
+    @pytest.fixture(autouse=True)
+    def _no_pool_left(self):
+        yield
+        shutdown_sweep_pool()
 
     @pytest.mark.parametrize("name", BATCHED_ENGINES)
     def test_full_sweep_matches_sequential(self, name):
-        _assert_fabrics_equal(
-            _sweep(name, batched=True), _sweep(name, batched=False)
-        )
+        reference = _sweep(name, reference=True)
+        for width in WIDTHS:
+            _assert_fabrics_equal(_sweep(name, width=width), reference)
 
     def test_fatpaths_fallback_notes_match(self):
         # scale=4 collapses the plane to 4 switches, where every layer
         # mask disconnects something: the fallback path must fire and
-        # note identically in both modes.
-        fa = _sweep("fatpaths", batched=True, scale=4, seed=0)
-        fb = _sweep("fatpaths", batched=False, scale=4, seed=0)
-        assert fa.notes and any("fallback" in n for n in fa.notes)
-        _assert_fabrics_equal(fa, fb)
+        # note identically in both routes.
+        reference = _sweep("fatpaths", reference=True, scale=4, seed=0)
+        for width in WIDTHS:
+            fab = _sweep("fatpaths", width=width, scale=4, seed=0)
+            assert fab.notes and any("fallback" in n for n in fab.notes)
+            _assert_fabrics_equal(fab, reference)
+
+    @staticmethod
+    def _resweep_after_fault(name, reference, width):
+        with sweep_workers(width), column_floor(1):
+            net = t2hx_hyperx(with_faults=True, seed=1, scale=2)
+            fab = OpenSM(net).run(_engine(name, reference))
+            cable = next(
+                l for l in net.iter_links()
+                if net.is_switch(l.src) and net.is_switch(l.dst)
+            )
+            net.disable_cable(cable.id)
+            reset_parallel_stats()
+            report = resweep(fab, _engine(name, reference))
+            if width > 1 and not reference:
+                # The re-sweep itself sharded, not just the cold sweep.
+                assert parallel_stats()["parallel_sweeps"] >= 1
+        return fab, report
 
     @pytest.mark.parametrize("name", BATCHED_ENGINES)
     def test_resweep_after_fault_matches_sequential(self, name):
-        reports = []
-        fabrics = []
-        for batched in (True, False):
-            with batched_sweep(batched):
-                net = t2hx_hyperx(with_faults=True, seed=1, scale=2)
-                fab = OpenSM(net).run(create_engine(name))
-                cable = next(
-                    l for l in net.iter_links()
-                    if net.is_switch(l.src) and net.is_switch(l.dst)
-                )
-                net.disable_cable(cable.id)
-                reports.append(resweep(fab, create_engine(name)))
-                fabrics.append(fab)
-        _assert_fabrics_equal(*fabrics)
-        ra, rb = reports
-        assert ra.dests_affected == rb.dests_affected
-        assert ra.entries_changed == rb.entries_changed
-        assert ra.pairs_affected == rb.pairs_affected
-        assert ra.paths_changed == rb.paths_changed
-        assert ra.num_unreachable == rb.num_unreachable
-        assert ra.dests_recomputed == rb.dests_recomputed
-        # Both runs must have taken the incremental path: only the
+        # The oracle re-routes the same stale LIDs one heap at a time.
+        ref_fab, rb = self._resweep_after_fault(name, True, 1)
+        for width in WIDTHS:
+            fab, ra = self._resweep_after_fault(name, False, width)
+            _assert_fabrics_equal(fab, ref_fab)
+            assert ra.dests_affected == rb.dests_affected
+            assert ra.entries_changed == rb.entries_changed
+            assert ra.pairs_affected == rb.pairs_affected
+            assert ra.paths_changed == rb.paths_changed
+            assert ra.num_unreachable == rb.num_unreachable
+            assert ra.dests_recomputed == rb.dests_recomputed
+        # Both routes must have taken the incremental path: only the
         # stale destinations recomputed, not the whole LID space.
-        total = len(fabrics[0].lidmap.terminal_lids(fabrics[0].net))
-        assert 0 < ra.dests_recomputed == ra.dests_affected < total
+        total = len(ref_fab.lidmap.terminal_lids(ref_fab.net))
+        assert 0 < rb.dests_recomputed == rb.dests_affected < total
 
-    def test_toggle_returns_previous_value(self):
-        assert batched_sweep_enabled()
-        prev = set_batched_sweep(False)
-        assert prev is True
-        assert not batched_sweep_enabled()
-        assert set_batched_sweep(prev) is False
-        assert batched_sweep_enabled()
+    @pytest.mark.parametrize("name", BATCHED_ENGINES)
+    def test_unreachable_resweep_leaves_same_tables_at_any_width(self, name):
+        # Cut every cable of one switch, then re-sweep every LID with
+        # one column per kernel block: the UnreachableError must leave
+        # the same tables in process and on the pool.
+        fabrics = []
+        for width in WIDTHS:
+            net = hyperx((3, 3), 2)
+            fab = OpenSM(net).run(create_engine(name))
+            victim = net.switches[4]
+            for link in list(net.iter_links()):
+                if link.enabled and link.src == victim and net.is_switch(
+                    link.dst
+                ):
+                    net.disable_cable(link.id)
+            dlids = fab.lidmap.terminal_lids(net)
+            with sweep_workers(width), column_floor(1), chunk_bytes(1):
+                with pytest.raises(UnreachableError):
+                    create_engine(name).recompute_destinations(fab, dlids)
+            fabrics.append(fab)
+        fa, fb = fabrics
+        assert np.array_equal(fa.tables.dense, fb.tables.dense)
+        assert dict(fa.tables.overflow_items()) == dict(
+            fb.tables.overflow_items()
+        )
+        assert fa.notes == fb.notes
 
-    def test_context_manager_restores_on_error(self):
-        assert batched_sweep_enabled()
-        with pytest.raises(ValueError):
-            with batched_sweep(False):
-                assert not batched_sweep_enabled()
-                raise ValueError("boom")
-        assert batched_sweep_enabled()
+
 
 
 #: sha256 of ``Fabric.dump_lft()`` (and the lane count) on the faulted
@@ -211,7 +253,7 @@ GOLDEN_672 = {
 class TestGolden672Digests:
     @pytest.mark.parametrize("name", sorted(GOLDEN_672))
     def test_full_plane_lft_bytes_are_frozen(self, name):
-        fab = _sweep(name, batched=True, scale=1)
+        fab = _sweep(name, scale=1)
         digest = hashlib.sha256(fab.dump_lft().encode()).hexdigest()
         want_digest, want_vls = GOLDEN_672[name]
         assert digest == want_digest
@@ -240,14 +282,14 @@ class TestChunkedPasses:
         assert get_chunk_bytes() == base
 
     def test_load_estimate_chunk_invariant(self):
-        fab = _sweep("fthx", batched=True)
+        fab = _sweep("fthx")
         with chunk_bytes(1):  # one destination per chunk everywhere
             loads_tiny = estimate_link_loads(fab)
         with chunk_bytes(64 * 1024 * 1024):
             assert estimate_link_loads(fab) == loads_tiny
 
     def test_whatif_report_chunk_invariant(self):
-        fab = _sweep("fthx", batched=True)
+        fab = _sweep("fthx")
         with chunk_bytes(1):
             tiny = json.loads(audit_whatif(fab, k2_samples=4, seed=9).to_json())
         with chunk_bytes(64 * 1024 * 1024):
@@ -257,7 +299,7 @@ class TestChunkedPasses:
         assert tiny == big
 
     def test_resolve_paths_chunk_invariant(self):
-        fab = _sweep("fthx", batched=True)
+        fab = _sweep("fthx")
         with chunk_bytes(1):
             tiny = fab.resolve_paths()
         with chunk_bytes(64 * 1024 * 1024):
@@ -270,13 +312,12 @@ class TestChunkedPasses:
                 assert a == b, f
 
     def test_destination_blocks_honour_chunk_bytes(self):
-        from repro.routing.base import destination_blocks
-        fab = _sweep("minhop", batched=True, scale=4, seed=0)
-        dlids = fab.lidmap.terminal_lids(fab.net)
+        fab = _sweep("minhop", scale=4, seed=0)
         with chunk_bytes(1):
-            blocks = destination_blocks(fab, dlids)
-        assert all(len(b) == 1 for b in blocks)
-        assert [d for b in blocks for d in b] == list(dlids)
+            assert destination_block_width(fab) == 1
+            tiny = _sweep("minhop", scale=4, seed=0)
+        assert destination_block_width(fab) > 1
+        _assert_fabrics_equal(fab, tiny)
 
 
 class TestNarrowDtype:
@@ -286,11 +327,11 @@ class TestNarrowDtype:
         assert table_dtype_for(np.iinfo(np.int16).max + 1) == np.int32
 
     def test_small_fabric_tables_are_int16(self):
-        fab = _sweep("minhop", batched=True, scale=4, seed=0)
+        fab = _sweep("minhop", scale=4, seed=0)
         assert fab.tables.dense.dtype == np.int16
 
     def test_scalar_overflow_is_refused(self):
-        fab = _sweep("minhop", batched=True, scale=4, seed=0)
+        fab = _sweep("minhop", scale=4, seed=0)
         tables = fab.tables
         sw = fab.net.switches[0]
         dlid = int(tables.dlids[0])
@@ -298,7 +339,7 @@ class TestNarrowDtype:
             tables[sw][dlid] = int(np.iinfo(np.int16).max) + 1
 
     def test_row_array_overflow_is_refused(self):
-        fab = _sweep("minhop", batched=True, scale=4, seed=0)
+        fab = _sweep("minhop", scale=4, seed=0)
         tables = fab.tables
         row = np.full(len(tables.dlids), np.iinfo(np.int16).max + 1,
                       dtype=np.int64)
@@ -308,7 +349,7 @@ class TestNarrowDtype:
 
 class TestFormatV4Cache:
     def test_sidecar_records_rows_dtype(self, tmp_path):
-        fab = _sweep("minhop", batched=True, scale=4, seed=0)
+        fab = _sweep("minhop", scale=4, seed=0)
         path = tmp_path / "fab.json"
         fab.save(path, arrays=True)
         payload = json.loads(path.read_text())
@@ -318,7 +359,7 @@ class TestFormatV4Cache:
         assert clone.tables.dense.dtype == fab.tables.dense.dtype
 
     def test_stale_sidecar_dtype_is_refused(self, tmp_path):
-        fab = _sweep("minhop", batched=True, scale=4, seed=0)
+        fab = _sweep("minhop", scale=4, seed=0)
         path = tmp_path / "fab.json"
         fab.save(path, arrays=True)
         payload = json.loads(path.read_text())

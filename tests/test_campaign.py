@@ -249,6 +249,27 @@ class TestCampaignEngine:
         assert status3.fabric_mmap_attaches == 2
         assert status3.to_dict()["fabric_cache"]["mmap_attaches"] == 2
 
+    def test_truncated_dynamic_cell_is_recorded_failed(
+        self, tmp_path, monkeypatch
+    ):
+        # With one rate recomputation per phase the dynamic simulator
+        # must approximate CoMD's uneven 14-rank halo exchange on the
+        # HyperX: the cell's value is not a clean measurement.
+        monkeypatch.setattr("repro.sim.engine._MAX_EVENTS_PER_PHASE", 1)
+        spec = CampaignSpec(
+            "trunc",
+            capability_grid(
+                ["hx-dfsssp-linear"], ["CoMD"], [14],
+                reps=1, scale=2, sim_mode="dynamic",
+            ),
+        )
+        status = run_campaign(spec, tmp_path, workers=1)
+        assert status.failed == 1 and status.completed == 0
+        [rec] = Ledger(campaign_paths(tmp_path)["ledger"]).latest().values()
+        assert rec["status"] == "failed"
+        assert rec["error"]["type"] == "ReproError"
+        assert "truncated" in rec["error"]["message"]
+
     def test_resume_after_kill_skips_completed_cells(self, tmp_path):
         spec = _tiny_spec(nodes=(8, 12))
         partial = run_campaign(spec, tmp_path, workers=1, limit=2)
@@ -295,8 +316,8 @@ class TestCampaignEngine:
         spec = _tiny_spec()
         # Serial campaigns leave the ambient sweep-pool configuration
         # alone; the ledger records what each cell actually ran with.
-        # (Neither campaign engine is parallel_sweep_safe, so no pool
-        # spawns — the *configured* width is still recorded.)
+        # (Neither campaign engine is a destination-tree engine, so no
+        # pool spawns — the *configured* width is still recorded.)
         with sweep_workers(2):
             status = run_campaign(spec, tmp_path, workers=1)
         assert status.all_completed
@@ -357,15 +378,3 @@ class TestPublicSurface:
         for name in ("RunSpec", "run_capability", "build_fabric",
                      "fabric_cache_key", "set_fabric_cache_dir"):
             assert name in experiments_pkg.__all__
-
-    def test_legacy_positional_form_warns(self):
-        from repro.experiments import run_capability
-        from repro.workloads.proxyapps import PROXY_APPS
-
-        app = PROXY_APPS["CoMD"]
-        with pytest.warns(DeprecationWarning):
-            run_capability(
-                BASELINE, "CoMD",
-                measure=lambda job, sim: app.kernel_runtime(job, sim),
-                num_nodes=8, reps=1, scale=2, seed=0, sim_mode="static",
-            )

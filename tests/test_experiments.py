@@ -136,19 +136,6 @@ class TestCapabilityRunner:
         )
         assert res.values[0] > 0
 
-    def test_legacy_keyword_form_still_works(self):
-        app = PROXY_APPS["CoMD"]
-        spec = RunSpec(BASELINE.key, "CoMD", num_nodes=8, reps=2, scale=2,
-                       seed=7, sim_mode="static")
-        measure = lambda job, sim: app.kernel_runtime(job, sim)  # noqa: E731
-        new = run_capability(spec, measure)
-        with pytest.warns(DeprecationWarning):
-            old = run_capability(
-                BASELINE, "CoMD", measure=measure,
-                num_nodes=8, reps=2, scale=2, seed=7, sim_mode="static",
-            )
-        assert old.values == new.values
-
     def test_best_respects_direction(self):
         from repro.experiments.runner import CapabilityResult
 

@@ -8,13 +8,13 @@ module pins that promise from four directions:
 * whole-fabric bit-equality (tables, notes, lanes, LFT dump) at worker
   counts 1, 2, and 8 — cold sweeps, faulted fabrics, and incremental
   re-sweeps with identical :class:`RerouteReport` counters — for every
-  engine that declares ``parallel_sweep_safe``;
+  destination-tree engine;
 * the frozen 672-node golden LFT digests reproduced *through the pool*;
 * hypothesis-fuzzed equivalence of the sharded in-process tree op
   against one whole-block ``tree_core_batch`` call;
 * the degraded paths: worker-count/column-floor gates, spawn failure,
   mid-job worker errors, and SIGKILLed workers must all land back on
-  the serial path (or a respawned pool) with identical results.
+  the in-process route (or a respawned pool) with identical results.
 """
 
 import hashlib
@@ -45,13 +45,14 @@ from repro.core.parallel import (
 from repro.ib.subnet_manager import OpenSM, resweep
 from repro.routing import create_engine, engine_names
 from repro.routing.arrays import tree_core_batch
+from repro.routing.base import DestinationTreeEngine
 from repro.topology.hyperx import hyperx
 from repro.topology.t2hx import t2hx_hyperx
 from tests.test_batched_routing import GOLDEN_672, _assert_fabrics_equal
 
 PARALLEL_ENGINES = [
     n for n in engine_names()
-    if getattr(create_engine(n), "parallel_sweep_safe", False)
+    if isinstance(create_engine(n), DestinationTreeEngine)
 ]
 
 
@@ -242,17 +243,27 @@ class TestPoolLifecycle:
         assert sweep_pool_pids() == []
 
     def test_run_tree_job_declines_without_workers(self):
+        # Without workers, or under the floor, the pool is declined and
+        # the same shard op runs in process on a plain buffer.
+        net = hyperx((3, 3), 1)
+        graph = net.switch_graph()
+        roots = np.arange(graph.num_switches, dtype=np.int64)
+        expect, _ = tree_core_batch(graph, roots, np.ones(len(net.links)))
         job = par.TreeJob(
-            num_switches=4, num_links=8,
-            roots=np.zeros(4, dtype=np.int64),
-            dest_switches=[0, 1, 2, 3],
-            weights={"kind": "unit", "num_links": 8},
-            shards=[], block_cols=4,
+            num_switches=graph.num_switches, num_links=len(net.links),
+            roots=roots,
+            dest_switches=list(graph.switches),
+            weights={"kind": "unit", "num_links": len(net.links)},
+            shards=[par.TreeShard(graph=graph, cols=roots)], block_cols=4,
         )
-        with sweep_workers(1):
-            assert run_tree_job(job) is None
-        with sweep_workers(2), column_floor(10**6):
-            assert run_tree_job(job) is None
+        for workers, floor in ((1, 1), (2, 10**6)):
+            with sweep_workers(workers), column_floor(floor):
+                result = run_tree_job(job)
+            assert result.plid.dtype == np.int32
+            assert np.array_equal(result.plid, expect)
+            result.release()
+        assert parallel_stats()["pool_spawns"] == 0
+        assert sweep_pool_pids() == []
 
 
 class TestKnobs:

@@ -352,8 +352,7 @@ class _LossyMinHop(_ForcedHeavyMinHop):
     lets a resweep complete on a partitioned fabric so the report's
     unreachable accounting is exercised."""
 
-    @staticmethod
-    def _check_reach(fabric, parent, hops, dsw, dlid):
+    def _on_unreachable(self, fabric, dlid, switch):
         pass
 
 

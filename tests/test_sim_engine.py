@@ -212,3 +212,14 @@ class TestEventSafetyValve:
         result = sim.run(prog)
         assert [p.events_truncated for p in result.phases] == [1, 1]
         assert result.events_truncated == 2
+
+    def test_simulator_accumulates_truncations_across_runs(
+        self, plane, monkeypatch
+    ):
+        net, fabric = plane
+        monkeypatch.setattr("repro.sim.engine._MAX_EVENTS_PER_PHASE", 1)
+        sim = FlowSimulator(net, mode="dynamic")
+        sim.run(Program([self._uneven_phase(net, fabric)]))
+        sim.run_phase(self._uneven_phase(net, fabric))
+        assert sim.events_truncated == 2
+        assert FlowSimulator(net, mode="dynamic").events_truncated == 0
