@@ -34,11 +34,7 @@ from repro.routing.dijkstra import tree_to_destination
 from repro.routing.minhop import MinHopRouting
 from repro.routing.parx import ParxRouting
 from repro.sim.engine import FlowSimulator
-from repro.sim.fairness import (
-    FairnessProblem,
-    max_min_fair_rates,
-    reference_max_min_fair_rates,
-)
+from repro.sim.fairness import FairnessProblem, max_min_fair_rates
 from repro.topology.t2hx import t2hx_hyperx
 
 #: Required new-vs-reference speedup for the incremental engine cases.
@@ -187,6 +183,8 @@ def faulted_dynamic():
 def _legacy_dynamic_phase(sim, net, phase) -> float:
     """The pre-engine dynamic ``run_phase``: per-message Python loops and
     a from-scratch reference fairness solve per completion event."""
+    from tests.reference_oracles import reference_max_min_fair_rates
+
     msgs = phase.messages
     sim.state.refresh(force=True)
     for m in msgs:

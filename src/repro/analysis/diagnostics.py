@@ -127,8 +127,7 @@ _RULE_LIST: tuple[Rule, ...] = (
     ),
     Rule(
         "FAB007", "lft-entry-invalid", Severity.ERROR,
-        "a forwarding entry references a foreign or unknown link, or an "
-        "unknown destination LID",
+        "a forwarding entry references a foreign or unknown link",
         "LFT hygiene: OpenSM only installs entries over live local "
         "ports",
     ),

@@ -244,8 +244,6 @@ class _TableScan:
     :func:`~repro.ib.tables.walk_dest_columns` prefilter that clears
     defect-free destinations wholesale, so only broken destinations pay
     the per-switch Python classification that produces witnesses.
-    Out-of-universe state (overflow entries, foreign-switch rows;
-    test-only) keeps the per-entry reference treatment.
     """
 
     def __init__(self, fabric: Fabric) -> None:
@@ -272,38 +270,41 @@ class _TableScan:
         #: Entry's link actually leaves the switch it is installed at.
         self.local = self.known & (self.entry_src == self.entry_sw)
 
-    def suspect_dlids(self, dlids: list[int]) -> set[int] | None:
-        """Terminal dlids that may have a broken walk, or ``None`` for
-        "treat every dlid as suspect" (tables unfit for the dense walk).
+    def suspect_dlids(self, dlids: list[int]) -> set[int]:
+        """Terminal dlids that may have a broken walk.
 
         A destination is *clean* exactly when every switch's matrix walk
         ejects at its terminal (``walk_dest_columns`` ok everywhere) and
         no non-local entry exists for it — the same verdicts
-        ``_classify_switches`` reaches, wholesale.
+        ``_classify_switches`` reaches, wholesale.  A dlid with no table
+        column (a LID map edited after routing) has no entries at all,
+        so it is always suspect.
         """
         fabric = self.fabric
         tables = fabric.tables
-        if tables.foreign_switches():
-            return None
-        cols = []
-        nodes = []
+        suspects: set[int] = set()
+        walked: list[int] = []
+        cols: list[int] = []
+        nodes: list[int] = []
         for dlid in dlids:
             col = tables.column_of(dlid)
             if col is None:
-                return None
+                suspects.add(dlid)
+                continue
+            walked.append(dlid)
             cols.append(col)
             nodes.append(fabric.lidmap.node_of(dlid))
         if not cols:
-            return set()
+            return suspects
         ok, _, _ = walk_dest_columns(
             tables.dense,
             self.graph,
             np.asarray(cols, dtype=np.int64),
             np.asarray(nodes, dtype=np.int64),
         )
-        suspects = {
-            int(dlids[i]) for i in np.flatnonzero(~ok.all(axis=0))
-        }
+        suspects.update(
+            int(walked[i]) for i in np.flatnonzero(~ok.all(axis=0))
+        )
         # walk_dest_columns follows entries regardless of which switch
         # they leave from; the classifier black-holes foreign/unknown
         # links, so their destinations must stay suspect too.
@@ -318,22 +319,9 @@ class _TableScan:
 def _check_table_hygiene(
     fabric: Fabric, emit: _Emitter, scan: _TableScan
 ) -> None:
-    net = fabric.net
-    tables = fabric.tables
-    num_links = scan.num_links
-    # Rows at non-switch keys (terminals, out-of-range ids) are plain
-    # dicts outside the matrix universe.
-    for sw in tables.foreign_switches():
-        emit.add(
-            "FAB007",
-            f"forwarding table installed at non-switch node {sw}",
-            switch=sw,
-            witness={"switch": sw},
-        )
-    # Dense entries: unknown and foreign links straight off the scan
-    # masks.  Unknown destination LIDs cannot occur in-universe — the
-    # matrix columns *are* the lidmap's LIDs — so only overflow entries
-    # need that check below.
+    # Unknown and foreign links straight off the scan masks.  Unknown
+    # destination LIDs and non-switch rows cannot occur: the tables
+    # refuse writes outside the matrix universe.
     for i in np.flatnonzero(~scan.known).tolist():
         sw = int(scan.entry_sw[i])
         dlid = int(scan.dlids_arr[scan.cols[i]])
@@ -355,33 +343,6 @@ def _check_table_hygiene(
             witness={"switch": sw, "dlid": dlid, "link": int(scan.links[i]),
                      "link_src": int(scan.entry_src[i])},
         )
-    for sw, dlid, link_id in tables.overflow_items():
-        if not (0 <= link_id < num_links):
-            emit.add(
-                "FAB007",
-                f"switch {sw} routes dlid {dlid} via unknown link "
-                f"{link_id}",
-                switch=sw, lid=dlid,
-                witness={"switch": sw, "dlid": dlid, "link": link_id},
-            )
-            continue
-        link = net.link(link_id)
-        if link.src != sw:
-            emit.add(
-                "FAB007",
-                f"switch {sw} routes dlid {dlid} via foreign link "
-                f"{link_id} (leaves node {link.src})",
-                switch=sw, lid=dlid,
-                witness={"switch": sw, "dlid": dlid, "link": link_id,
-                         "link_src": link.src},
-            )
-        if dlid not in fabric.lidmap.owner:
-            emit.add(
-                "FAB007",
-                f"switch {sw} routes unknown destination LID {dlid}",
-                switch=sw, lid=dlid,
-                witness={"switch": sw, "dlid": dlid, "link": link_id},
-            )
 
 
 # --- stale entries over disabled links (FAB013) -----------------------------
@@ -395,8 +356,6 @@ def _check_stale_entries(
     black-holes (or, in a naive model, simulates at line rate) every
     destination routed over the dead cable until the SM re-sweeps.
     """
-    net = fabric.net
-    tables = fabric.tables
     stale = scan.local & ~scan.entry_enabled
     for i in np.flatnonzero(stale).tolist():
         sw = int(scan.entry_sw[i])
@@ -411,26 +370,6 @@ def _check_stale_entries(
             witness={"switch": sw, "dlid": dlid, "link": link_id,
                      "link_dst": int(scan.entry_dst[i])},
         )
-    # Out-of-universe state keeps the per-entry reference treatment.
-    extra = list(tables.overflow_items()) + [
-        (sw, dlid, link_id)
-        for sw in tables.foreign_switches()
-        for dlid, link_id in tables[sw].items()
-    ]
-    for sw, dlid, link_id in extra:
-        if not (0 <= link_id < scan.num_links):
-            continue  # FAB007 owns unknown links
-        link = net.link(link_id)
-        if link.src == sw and not link.enabled:
-            emit.add(
-                "FAB013",
-                f"switch {sw} routes dlid {dlid} via disabled link "
-                f"{link_id}: stale LFT entry; re-sweep the fabric "
-                "(repro.ib.subnet_manager.resweep) after cable events",
-                switch=sw, lid=dlid,
-                witness={"switch": sw, "dlid": dlid, "link": link_id,
-                         "link_dst": link.dst},
-            )
 
 
 # --- reachability, black holes, forwarding loops (FAB001/FAB002) -----------
@@ -459,7 +398,7 @@ def _check_walks(
         except TopologyError:
             continue  # detached destination: FAB010 reports it
         pairs_total += net.num_terminals - 1
-        if suspects is not None and dlid not in suspects:
+        if dlid not in suspects:
             continue
 
         state, cycles = _classify_switches(fabric, dlid, dest_node, dsw)

@@ -19,7 +19,6 @@ black holes are skipped here; the walk rules report those defects.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
 
 import numpy as np
@@ -38,34 +37,17 @@ def estimate_link_loads(fabric: Fabric) -> dict[int, int]:
     demand.  Only switch-to-switch links accumulate load; injection and
     ejection hops are topology-determined and uninteresting.
 
-    When the tables carry the dense next-hop matrix the per-destination
-    successor function and in-degrees come from column gathers and the
-    Kahn pass drains whole frontiers at a time; tables with rows outside
-    the matrix universe (or plain dicts) take the reference walk.  Both
-    produce identical integer counts — the drain order never affects the
-    totals because every predecessor of a switch settles before it.
+    The per-destination successor function and in-degrees come from
+    column gathers over the dense next-hop matrix, and the Kahn pass
+    drains whole frontiers at a time through the shared
+    :func:`repro.routing.arrays.accumulate_column_loads` kernel (the
+    what-if verifier runs the same kernel over other column subsets).
+    The drain order never affects the totals because every predecessor
+    of a switch settles before it.
     """
     net = fabric.net
     tables = fabric.tables
     dlids = fabric.lidmap.terminal_lids(net)
-    if (
-        hasattr(tables, "column_of")
-        and not tables.foreign_switches()
-        and all(tables.column_of(dlid) is not None for dlid in dlids)
-    ):
-        return _estimate_link_loads_dense(fabric, dlids)
-    return _estimate_link_loads_reference(fabric, dlids)
-
-
-def _estimate_link_loads_dense(fabric: Fabric, dlids: list[int]) -> dict[int, int]:
-    """Frontier-at-a-time Kahn over the dense next-hop matrix.
-
-    Thin wrapper over the shared
-    :func:`repro.routing.arrays.accumulate_column_loads` kernel (the
-    what-if verifier runs the same kernel over other column subsets).
-    """
-    net = fabric.net
-    tables = fabric.tables
     graph = net.switch_graph()
     loads_arr = np.zeros(len(net.links), dtype=np.int64)
     cols = np.asarray(
@@ -98,60 +80,6 @@ def _estimate_link_loads_dense(fabric: Fabric, dlids: list[int]) -> dict[int, in
         for link in net.iter_links()
         if net.is_switch(link.src) and net.is_switch(link.dst)
     }
-
-
-def _estimate_link_loads_reference(
-    fabric: Fabric, dlids: list[int]
-) -> dict[int, int]:
-    """Reference per-entry table walk (any mapping-of-mappings tables)."""
-    net = fabric.net
-    loads: dict[int, int] = {
-        link.id: 0
-        for link in net.iter_links()
-        if net.is_switch(link.src) and net.is_switch(link.dst)
-    }
-    attached: dict[int, int] = {
-        sw: len(net.attached_terminals(sw)) for sw in net.switches
-    }
-
-    for dlid in dlids:
-        dest_node = fabric.lidmap.node_of(dlid)
-        # Sources: every terminal except the destination itself.  A
-        # terminal's walk enters at its attached switch and follows the
-        # destination tree, so seed each switch with its terminal count.
-        seed = dict(attached)
-        dsw = net.attached_switch(dest_node)
-        seed[dsw] -= 1  # the destination does not send to itself
-
-        next_sw: dict[int, tuple[int, int] | None] = {}
-        indeg: dict[int, int] = dict.fromkeys(net.switches, 0)
-        for sw in net.switches:
-            entry = fabric.tables.get(sw, {}).get(dlid)
-            hop: tuple[int, int] | None = None
-            if entry is not None and 0 <= entry < len(net.links):
-                link = net.link(entry)
-                if link.enabled and net.is_switch(link.dst):
-                    hop = (entry, link.dst)
-                    indeg[link.dst] += 1
-            next_sw[sw] = hop
-
-        # Kahn's algorithm over the functional graph; switches on a
-        # forwarding cycle never reach in-degree 0 and are skipped.
-        total = seed
-        queue = deque(sw for sw in net.switches if indeg[sw] == 0)
-        while queue:
-            sw = queue.popleft()
-            hop = next_sw[sw]
-            if hop is None:
-                continue  # ejection at the destination, or a black hole
-            link_id, succ = hop
-            if total[sw] > 0:
-                loads[link_id] += total[sw]
-                total[succ] += total[sw]
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                queue.append(succ)
-    return loads
 
 
 def load_summary(fabric: Fabric, loads: dict[int, int]) -> dict[str, Any]:

@@ -231,8 +231,7 @@ def audit_whatif(
     Parameters
     ----------
     fabric:
-        The routed plane to certify.  Must carry dense tables with no
-        foreign-switch rows (every engine-produced fabric qualifies).
+        The routed plane to certify.
     k2_samples:
         Seeded two-cable samples to draw on top of the exhaustive
         single-cable audit (0 = none).
@@ -250,11 +249,6 @@ def audit_whatif(
     t_start = time.perf_counter()
     net = fabric.net
     tables = fabric.tables
-    if tables.foreign_switches():
-        raise TopologyError(
-            "what-if audit needs dense tables; fabric has foreign-switch "
-            f"rows {sorted(tables.foreign_switches())}"
-        )
     graph = net.switch_graph()
     cables = net.switch_cables()
     n_cables = len(cables)
@@ -348,14 +342,6 @@ def audit_whatif(
         )
     key_cables = keys // n_cols
     dests_affected = np.bincount(key_cables, minlength=n_cables)
-    # Overflow entries (out-of-universe dlids; test-only) fold in as
-    # extra distinct destinations per cable.
-    extra_dests: dict[int, set[int]] = {}
-    for sw, dlid, link_id in tables.overflow_items():
-        if 0 <= link_id < num_links and cable_of_link[link_id] >= 0:
-            extra_dests.setdefault(int(cable_of_link[link_id]), set()).add(dlid)
-    for ci, dls in extra_dests.items():
-        dests_affected[ci] += len(dls)
 
     # --- bridges of the switch graph (Tarjan, one pass) -------------------
     sw_weights = graph.attached_counts.astype(np.int64)

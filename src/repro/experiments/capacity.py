@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, ReproError
 from repro.core.rng import derive_seed
 from repro.core.units import MIB
 from repro.experiments.configs import Combination, build_fabric, make_pml
@@ -162,7 +162,12 @@ def run_capacity(
     window_seconds: float = WINDOW_SECONDS,
     sim_mode: str = "static",
 ) -> CapacityResult:
-    """Figure 7 for one combination: runs completed per app in 3 hours."""
+    """Figure 7 for one combination: runs completed per app in 3 hours.
+
+    Raises :class:`ReproError` when any simulation truncated flows at
+    the dynamic mode's per-phase event cap: the runtimes, and so the
+    run counts, would be approximate.
+    """
     fabric = build_fabric(combo, scale=scale, seed=seed)
     net = fabric.net
     pool = list(net.terminals)
@@ -236,6 +241,7 @@ def run_capacity(
         footprints[name] = loads
 
     # Pass 2: re-simulate each app against the other apps' background.
+    truncated = sim.events_truncated
     base_caps = [l.capacity for l in net.links]
     for name, job in jobs.items():
         program, gap, iters, overhead, rounds = programs[name]
@@ -249,10 +255,17 @@ def run_capacity(
             floor = MIN_CAPACITY_FRACTION * base_caps[lid]
             net.links[lid].capacity = max(floor, base_caps[lid] - v)
         res = FlowSimulator(net, mode=sim_mode).run(program)
+        truncated += res.events_truncated
         interfered = iters * (rounds * res.total_time + gap) + overhead
         result.interfered_seconds[name] = interfered
         result.runs[name] = int(window_seconds // (interfered + STARTUP_SECONDS))
         # Restore capacities for the next app.
         for lid in background:
             net.links[lid].capacity = base_caps[lid]
+    if truncated:
+        raise ReproError(
+            f"capacity {combo.key}: the simulator truncated {truncated} "
+            "flow(s) at its per-phase event cap; the run counts are "
+            "approximate"
+        )
     return result

@@ -52,17 +52,16 @@ def dest_dependencies_from_tables(fabric, dlid: int) -> set[tuple[int, int]]:
     same destination tree, so each destination's set stays acyclic and
     deadlock freedom is never *under*-reported.
 
-    When the tables carry the dense matrix backing the extraction is a
-    pair of numpy column gathers; entries outside the matrix universe
-    (and plain-dict tables) take the reference per-entry path.
+    The extraction is a pair of numpy gathers over the destination's
+    column of the dense table matrix; a DLID outside the LID map has no
+    column, hence no entries and no edges.
     """
-    net = fabric.net
     table = fabric.tables
-    col = table.column_of(dlid) if hasattr(table, "column_of") else None
+    col = table.column_of(dlid)
     if col is None:
-        return _dest_dependencies_generic(net, table, dlid)
+        return set()
 
-    graph = net.switch_graph()
+    graph = fabric.net.switch_graph()
     column = table.dense[:, col]
     l_in = column[column >= 0]
     # First hop must land on a switch (ejection ends the chain) ...
@@ -74,40 +73,7 @@ def dest_dependencies_from_tables(fabric, dlid: int) -> set[tuple[int, int]]:
     chained = l_out >= 0
     l_in, l_out = l_in[chained], l_out[chained]
     sw_sw = graph.link_dst_index[l_out] >= 0
-    deps = set(zip(l_in[sw_sw].tolist(), l_out[sw_sw].tolist()))
-    # Rows living outside the matrix universe (foreign switches) are
-    # rare; fold them in through the reference rules.
-    for sw in table.foreign_switches():
-        l_in_f = table[sw].get(dlid)
-        if l_in_f is None:
-            continue
-        link_in = net.link(l_in_f)
-        if not net.is_switch(link_in.dst):
-            continue
-        l_out_f = table.get(link_in.dst, {}).get(dlid)
-        if l_out_f is not None and net.is_switch(net.link(l_out_f).dst):
-            deps.add((l_in_f, l_out_f))
-    return deps
-
-
-def _dest_dependencies_generic(net, table, dlid: int) -> set[tuple[int, int]]:
-    """Reference per-entry extraction (any mapping-of-mappings tables)."""
-    deps: set[tuple[int, int]] = set()
-    for u, entries in table.items():
-        l_in = entries.get(dlid)
-        if l_in is None:
-            continue
-        link_in = net.link(l_in)
-        if not net.is_switch(link_in.dst):
-            continue  # ejection hop: chain ends
-        s = link_in.dst
-        l_out = table.get(s, {}).get(dlid)
-        if l_out is None:
-            continue
-        link_out = net.link(l_out)
-        if net.is_switch(link_out.dst):
-            deps.add((l_in, l_out))
-    return deps
+    return set(zip(l_in[sw_sw].tolist(), l_out[sw_sw].tolist()))
 
 
 def lane_dependency_edges(fabric) -> dict[int, set[tuple[int, int]]]:

@@ -47,7 +47,12 @@ from repro.topology.network import Network
 #:   every pre-10k config) and sidecar payloads record it as
 #:   ``"rows_dtype"``.  Version-3 entries (always int32) are rejected
 #:   and rebuilt rather than silently widened.
-FABRIC_FORMAT_VERSION = 4
+#: * 5 — the dense matrix is the only store: the tables lose their
+#:   out-of-universe keys (overflow entries and rows at non-switch
+#:   nodes), every ``"rows"`` entry is a full row, and an inline payload
+#:   whose ``"dlids"`` differ from the network's LID universe is refused
+#:   like a sidecar one.  Version-4 entries are rejected and rebuilt.
+FABRIC_FORMAT_VERSION = 5
 
 
 @dataclass
@@ -116,7 +121,8 @@ class Fabric:
 
     # --- table installation -------------------------------------------------
     def set_route(self, switch: int, dlid: int, link_id: int) -> None:
-        """Install one forwarding entry; the link must leave ``switch``."""
+        """Install one forwarding entry; the link must leave ``switch``,
+        and ``dlid`` must be in the LID map (else :class:`RoutingError`)."""
         link = self.net.link(link_id)
         if link.src != switch:
             raise RoutingError(
@@ -360,7 +366,10 @@ class Fabric:
 
     def load_lft(self, text: str) -> None:
         """Install tables from a :meth:`dump_lft` text (replaces all
-        existing entries and per-destination lanes)."""
+        existing entries and per-destination lanes).  Raises
+        :class:`RoutingError` on an entry via a link that does not leave
+        its switch, at a node that is not a switch, or for a DLID
+        outside the LID map."""
         tables: dict[int, dict[int, int]] = {}
         vl_of: dict[int, int] = {}
         current: int | None = None
@@ -409,22 +418,14 @@ class Fabric:
         if rows_file is None:
             rows: dict[str, Any] = {
                 "rows": {
-                    str(sw): (
-                        self.tables.dense[row].tolist()
-                        if (row := self.tables.row_of(sw)) is not None
-                        else None
-                    )
+                    str(sw): self.tables.dense[self.tables.row_of(sw)].tolist()
                     for sw in self.tables
                 },
             }
         else:
             rows = {
                 "rows_file": rows_file,
-                "row_switches": [
-                    int(sw)
-                    for sw in self.tables
-                    if self.tables.row_of(sw) is not None
-                ],
+                "row_switches": [int(sw) for sw in self.tables],
                 "rows_shape": list(self.tables.dense.shape),
                 "rows_dtype": str(self.tables.dense.dtype),
             }
@@ -446,15 +447,6 @@ class Fabric:
             "tables": {
                 "dlids": [int(d) for d in self.tables.dlids],
                 **rows,
-                "overflow": {
-                    str(sw): {str(dlid): int(link) for dlid, link in entries.items()}
-                    for sw, entries in self.tables.overflow_copy().items()
-                },
-                "foreign_rows": {
-                    str(sw): {str(d): int(v) for d, v in dict(self.tables[sw]).items()}
-                    for sw in self.tables
-                    if self.tables.row_of(sw) is None
-                },
             },
             "vl_of_dlid": {str(d): v for d, v in self.vl_of_dlid.items()},
         }
@@ -511,19 +503,17 @@ class Fabric:
         tp = payload["tables"]
         link_src = net.switch_graph().link_src_node
         n_links = len(net.links)
-        payload_dlids = [int(d) for d in tp["dlids"]]
-        aligned = payload_dlids == [int(d) for d in fabric.tables.dlids]
+        if [int(d) for d in tp["dlids"]] != fabric.tables.dlids.tolist():
+            raise RoutingError(
+                "fabric payload dlid universe does not match the "
+                "network's (stale cache entry?)"
+            )
         if "rows_file" in tp:
             if dense_rows is None:
                 raise RoutingError(
                     "fabric payload references sidecar "
                     f"{tp['rows_file']!r}; load it through Fabric.load or "
                     "pass dense_rows"
-                )
-            if not aligned:
-                raise RoutingError(
-                    "fabric sidecar payload dlid universe does not match "
-                    "the network's (stale cache entry?)"
                 )
             m = dense_rows
             expect = tuple(tp.get("rows_shape", m.shape))
@@ -561,8 +551,6 @@ class Fabric:
             inline_rows = tp["rows"]
         for sw_s, row_values in inline_rows.items():
             sw = int(sw_s)
-            if row_values is None:
-                continue  # recorded under foreign_rows
             arr = np.asarray(row_values, dtype=np.int32)
             present = arr >= 0
             entries = arr[present]
@@ -578,26 +566,7 @@ class Fabric:
                     f"fabric payload routes entries at switch {sw} via "
                     f"foreign link {bad}"
                 )
-            if aligned:
-                fabric.tables.install_row_array(sw, arr)
-            else:
-                fabric.tables[sw] = {
-                    d: int(v) for d, v in zip(payload_dlids, arr) if v >= 0
-                }
-        for sw_s, entries in tp.get("overflow", {}).items():
-            sw = int(sw_s)
-            row = fabric.tables.setdefault(sw, {})
-            for dlid_s, link_id in entries.items():
-                if net.link(int(link_id)).src != sw:
-                    raise RoutingError(
-                        f"fabric payload routes dlid {dlid_s} at switch "
-                        f"{sw} via foreign link {link_id}"
-                    )
-                row[int(dlid_s)] = int(link_id)
-        for sw_s, entries in tp.get("foreign_rows", {}).items():
-            fabric.tables[int(sw_s)] = {
-                int(d): int(v) for d, v in entries.items()
-            }
+            fabric.tables.install_row_array(sw, arr)
         fabric.vl_of_dlid = {
             int(d): int(v) for d, v in payload.get("vl_of_dlid", {}).items()
         }

@@ -135,32 +135,19 @@ class RerouteReport:
 
 
 def _stale_entries(fabric: Fabric) -> list[tuple[int, int]]:
-    """``(switch, dlid)`` forwarding entries that point at disabled links.
-
-    The dense part is one boolean mask over the whole table matrix;
-    overflow and foreign-row entries (out-of-universe writes, test-only)
-    are checked entry by entry like before.
-    """
-    net = fabric.net
+    """``(switch, dlid)`` forwarding entries that point at disabled links,
+    found with one boolean mask over the whole table matrix."""
     tables = fabric.tables
-    graph = net.switch_graph()
+    graph = fabric.net.switch_graph()
     m = tables.dense
     present = m >= 0
     stale_mask = present & ~graph.link_enabled[np.where(present, m, 0)]
     switch_ids = tables.switch_ids
     dlids = tables.dlids
-    out = [
+    return [
         (switch_ids[r], int(dlids[c]))
         for r, c in zip(*np.nonzero(stale_mask))
     ]
-    for sw, dlid, link_id in tables.overflow_items():
-        if not net.link(link_id).enabled:
-            out.append((sw, dlid))
-    for sw in tables.foreign_switches():
-        for dlid, link_id in tables[sw].items():
-            if not net.link(link_id).enabled:
-                out.append((sw, dlid))
-    return out
 
 
 def _snapshot_paths(
@@ -201,8 +188,8 @@ def resweep(
       (``engine.recompute_destinations``), then the full deterministic
       VL layering re-runs over the result — byte-identical tables and
       lanes to a heavy sweep, at the cost of the affected destinations
-      only.  A restore event, out-of-universe stale entries, or a
-      layering failure fall back to the heavy sweep.  When sweep
+      only.  A restore event, a stale entry at a switch's own LID, or
+      a layering failure fall back to the heavy sweep.  When sweep
       workers are configured and the stale-destination count crosses
       the parallel column floor (:mod:`repro.core.parallel`), the
       recompute itself shards across the worker pool — same bits,
@@ -232,18 +219,14 @@ def resweep(
 
     tables = fabric.tables
     old_dense = tables.dense_copy()
-    old_overflow = tables.overflow_copy()
-    old_foreign = {sw: dict(tables[sw]) for sw in tables.foreign_switches()}
     ok_old, hops_old, _ = fabric._resolve_pair_matrices(old_dense, None)
 
     terminal_dlids = fabric.lidmap.terminal_lids(net)
-    in_universe = set(terminal_dlids)
+    routable = set(terminal_dlids)
     incremental = (
         engine.supports_incremental_resweep
         and not restored
-        and all(d in in_universe for d in stale_dlids)
-        and not old_overflow
-        and not old_foreign
+        and all(d in routable for d in stale_dlids)
     )
     done = False
     if incremental:
@@ -267,20 +250,10 @@ def resweep(
             _relayer(fabric, max_vls, engine)
         report.dests_recomputed = len(terminal_dlids)
 
-    new_tables = fabric.tables
-    new_dense = new_tables.dense
+    new_dense = fabric.tables.dense
     report.entries_changed = int(
         ((new_dense >= 0) & (new_dense != old_dense)).sum()
     )
-    for sw, dlid, link_id in new_tables.overflow_items():
-        if old_overflow.get(sw, {}).get(dlid) != link_id:
-            report.entries_changed += 1
-    for sw in new_tables.foreign_switches():
-        old_row = old_foreign.get(sw, {})
-        report.entries_changed += sum(
-            1 for dlid, link_id in new_tables[sw].items()
-            if old_row.get(dlid) != link_id
-        )
 
     ok_new, hops_new, entry_diff = fabric._resolve_pair_matrices(
         new_dense, old_dense

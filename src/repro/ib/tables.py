@@ -13,16 +13,17 @@ instead of per-entry Python loops (:func:`walk_dest_columns`).
 
 The *universe* of the matrix is fixed at construction: rows are the
 network's switches, columns the sorted LIDs of the fabric's
-:class:`~repro.ib.addressing.LidMap`.  Entries outside the universe
-(tests install routes at foreign dlids; the linter installs foreign
-links) go to an overflow dict so the mapping facade never rejects a
-write the plain dicts accepted — no validation happens here, exactly
-like before (``Fabric.set_route`` remains the validating entry point).
+:class:`~repro.ib.addressing.LidMap` — the linear forwarding table
+OpenSM programs into each switch.  The matrix is the only store: a
+write at a node that is not a switch, or at a DLID outside the LID map,
+raises :class:`~repro.core.errors.RoutingError`.  Link ids are only
+checked against the dtype; whether an entry's link leaves its switch is
+``Fabric.set_route``'s check (and the linter's FAB007).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, MutableMapping
+from typing import TYPE_CHECKING, Iterator, Mapping, MutableMapping
 
 import numpy as np
 
@@ -55,11 +56,9 @@ def table_dtype_for(num_links: int) -> np.dtype:
 class TableRow(MutableMapping):
     """Mutable mapping view of one switch's linear forwarding table.
 
-    Reads and writes go straight to the backing matrix row (plus the
-    switch's overflow dict for out-of-universe dlids).  Iteration yields
-    in-universe dlids in ascending LID order, then overflow entries —
-    deterministic, which the dict rows never guaranteed either (callers
-    that care sort, e.g. ``dump_lft``).
+    Reads and writes go straight to the backing matrix row; writing a
+    DLID outside the LID map raises :class:`RoutingError`.  Iteration
+    yields the row's DLIDs in ascending LID order.
     """
 
     __slots__ = ("_tables", "_switch", "_row")
@@ -72,7 +71,7 @@ class TableRow(MutableMapping):
     def __getitem__(self, dlid: int) -> int:
         col = self._tables._col_of.get(dlid)
         if col is None:
-            return self._tables._overflow[self._switch][dlid]
+            raise KeyError(dlid)
         link = self._tables._m[self._row, col]
         if link < 0:
             raise KeyError(dlid)
@@ -82,44 +81,38 @@ class TableRow(MutableMapping):
         t = self._tables
         col = t._col_of.get(dlid)
         if col is None:
-            t._overflow.setdefault(self._switch, {})[dlid] = int(link_id)
-        else:
-            if not t._lo <= link_id <= t._hi:
-                raise RoutingError(
-                    f"link id {link_id} does not fit forwarding-table "
-                    f"dtype {t._m.dtype}"
-                )
-            t._m[self._row, col] = link_id
+            raise RoutingError(
+                f"cannot route dlid {dlid} at switch {self._switch}: the "
+                "dlid is not in the fabric's LID map"
+            )
+        if not t._lo <= link_id <= t._hi:
+            raise RoutingError(
+                f"link id {link_id} does not fit forwarding-table "
+                f"dtype {t._m.dtype}"
+            )
+        t._m[self._row, col] = link_id
         t.version += 1
 
     def __delitem__(self, dlid: int) -> None:
         t = self._tables
         col = t._col_of.get(dlid)
-        if col is None:
-            del t._overflow[self._switch][dlid]
-        else:
-            if t._m[self._row, col] < 0:
-                raise KeyError(dlid)
-            t._m[self._row, col] = NO_ENTRY
+        if col is None or t._m[self._row, col] < 0:
+            raise KeyError(dlid)
+        t._m[self._row, col] = NO_ENTRY
         t.version += 1
 
     def __contains__(self, dlid: object) -> bool:
         col = self._tables._col_of.get(dlid)
-        if col is None:
-            return dlid in self._tables._overflow.get(self._switch, ())
-        return bool(self._tables._m[self._row, col] >= 0)
+        return col is not None and bool(self._tables._m[self._row, col] >= 0)
 
     def __iter__(self) -> Iterator[int]:
         t = self._tables
         row = t._m[self._row]
         for col in np.flatnonzero(row >= 0):
             yield int(t._dlids[col])
-        yield from t._overflow.get(self._switch, ())
 
     def __len__(self) -> int:
-        t = self._tables
-        n = int((t._m[self._row] >= 0).sum())
-        return n + len(t._overflow.get(self._switch, ()))
+        return int((self._tables._m[self._row] >= 0).sum())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Mapping):
@@ -142,8 +135,10 @@ class ForwardingTables(MutableMapping):
     A switch key is *present* once a row was created for it (by
     ``setdefault``, item assignment, or an initial dict) — matching the
     plain dict-of-dicts, where ``tables[sw]`` raised until somebody
-    wrote there.  :attr:`version` counts every mutation; the fabric's
-    path memo and any derived caches key on it.
+    wrote there.  Keys must be switches of the network and DLIDs must be
+    in its LID map; anything else raises :class:`RoutingError`.
+    :attr:`version` counts every mutation; the fabric's path memo and
+    any derived caches key on it.
     """
 
     _uid_counter = 0
@@ -165,13 +160,8 @@ class ForwardingTables(MutableMapping):
         self._m = np.full((len(switches), len(dlids)), NO_ENTRY, dtype=dtype)
         info = np.iinfo(dtype)
         self._lo, self._hi = int(info.min), int(info.max)
-        #: switch -> {dlid -> link} for out-of-universe dlids.
-        self._overflow: dict[int, dict[int, int]] = {}
-        #: present switch keys -> row view (or plain dict for switches
-        #: outside the universe), in first-write order.
-        self._rows: dict[int, MutableMapping] = {}
-        #: present keys backed by plain dicts (out-of-universe switches).
-        self._foreign: set[int] = set()
+        #: present switch keys -> row view, in first-write order.
+        self._rows: dict[int, TableRow] = {}
         self.version = 0
         #: Process-unique instance id: two table objects never share a
         #: ``(uid, version)`` pair, so caches keyed on it can never
@@ -183,24 +173,12 @@ class ForwardingTables(MutableMapping):
                 self[sw] = entries
 
     # --- mapping facade ---------------------------------------------------
-    def __getitem__(self, switch: int) -> MutableMapping:
+    def __getitem__(self, switch: int) -> TableRow:
         return self._rows[switch]
 
     def __setitem__(self, switch: int, entries: Mapping[int, int]) -> None:
-        row = self._row_of.get(switch)
-        if row is None:
-            # Unknown switch id: keep a plain dict so the facade stays
-            # permissive (the dict tables accepted any key).
-            self._rows[switch] = dict(entries)
-            self._foreign.add(switch)
-            self.version += 1
-            return
-        view = self._rows.get(switch)
-        if view is None:
-            view = TableRow(self, switch, row)
-            self._rows[switch] = view
-        self._m[row, :] = NO_ENTRY
-        self._overflow.pop(switch, None)
+        view = self._present_row(switch)
+        self._m[view._row, :] = NO_ENTRY
         self.version += 1
         for dlid, link_id in entries.items():
             view[dlid] = link_id
@@ -217,12 +195,7 @@ class ForwardingTables(MutableMapping):
             return self._rows[switch]
 
     def __delitem__(self, switch: int) -> None:
-        del self._rows[switch]
-        self._foreign.discard(switch)
-        row = self._row_of.get(switch)
-        if row is not None:
-            self._m[row, :] = NO_ENTRY
-        self._overflow.pop(switch, None)
+        self._m[self._rows.pop(switch)._row, :] = NO_ENTRY
         self.version += 1
 
     def __contains__(self, switch: object) -> bool:
@@ -283,7 +256,7 @@ class ForwardingTables(MutableMapping):
         return self._row_of.get(switch)
 
     def dense_copy(self) -> np.ndarray:
-        """Snapshot of the matrix (plus a copy of the overflow dict)."""
+        """Snapshot of the matrix."""
         return self._m.copy()
 
     def entry_coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,33 +266,16 @@ class ForwardingTables(MutableMapping):
         cols index :attr:`dlids`, ``links[i]`` is the stored link id.
         One ``np.nonzero`` instead of a per-entry Python loop — the
         linter's table-hygiene scan and the what-if verifier's
-        cable-to-destination incidence both start here.  Overflow and
-        foreign-row entries are not included (see
-        :meth:`overflow_items` / :meth:`foreign_switches`).
+        cable-to-destination incidence both start here.
         """
         rows, cols = np.nonzero(self._m >= 0)
         return rows, cols, self._m[rows, cols]
-
-    def foreign_switches(self) -> tuple[int, ...]:
-        """Present keys backed by plain dicts (out-of-universe switches)."""
-        return tuple(self._foreign)
-
-    def overflow_items(self) -> Iterator[tuple[int, int, int]]:
-        """All out-of-universe entries as ``(switch, dlid, link)``."""
-        for sw, entries in self._overflow.items():
-            for dlid, link_id in entries.items():
-                yield sw, dlid, link_id
-
-    def overflow_copy(self) -> dict[int, dict[int, int]]:
-        return {sw: dict(entries) for sw, entries in self._overflow.items()}
 
     def clear_column(self, dlid: int) -> None:
         """Drop every switch's entry for one destination LID."""
         col = self._col_of.get(dlid)
         if col is not None:
             self._m[:, col] = NO_ENTRY
-        for entries in self._overflow.values():
-            entries.pop(dlid, None)
         self.version += 1
 
     def install_column(
@@ -365,8 +321,6 @@ class ForwardingTables(MutableMapping):
         (copy-on-write keeps the cache file immutable).
         ``present_switches`` lists the in-universe switches to mark
         present, in first-write order (default: every row's switch).
-        Overflow and foreign rows are untouched — install those through
-        the mapping API afterwards.
         """
         if matrix.shape != self._m.shape:
             raise ValueError(
@@ -380,9 +334,7 @@ class ForwardingTables(MutableMapping):
         if present_switches is None:
             present_switches = list(self._switch_ids)
         for sw in present_switches:
-            row = self._row_of[sw]
-            if sw not in self._rows:
-                self._rows[sw] = TableRow(self, sw, row)
+            self._present_row(sw)
         self.version += 1
 
     def install_row_array(self, switch: int, row_values: np.ndarray) -> None:
@@ -391,19 +343,24 @@ class ForwardingTables(MutableMapping):
         Fast path for payload loading; marks the switch present even if
         the row is all :data:`NO_ENTRY`.
         """
-        row = self._row_of.get(switch)
-        if row is None:
-            self[switch] = {
-                int(d): int(v)
-                for d, v in zip(self._dlids, row_values)
-                if v >= 0
-            }
-            return
-        if switch not in self._rows:
-            self._rows[switch] = TableRow(self, switch, row)
+        view = self._present_row(switch)
         self._check_fits(np.asarray(row_values))
-        self._m[row, :] = row_values
+        self._m[view._row, :] = row_values
         self.version += 1
+
+    def _present_row(self, switch: int) -> TableRow:
+        """The row view of ``switch``, marking it present on first use;
+        refuses keys that are not switches of the network."""
+        view = self._rows.get(switch)
+        if view is None:
+            row = self._row_of.get(switch)
+            if row is None:
+                raise RoutingError(
+                    f"cannot install a forwarding table at node {switch}: "
+                    f"not a switch of network {self._net.name!r}"
+                )
+            view = self._rows[switch] = TableRow(self, switch, row)
+        return view
 
     def _check_fits(self, values: np.ndarray) -> None:
         """Refuse values the matrix dtype cannot hold — array scatters

@@ -212,7 +212,7 @@ def install_tree(fabric: Fabric, dlid: int, parent: dict[int, int]) -> None:
     writes the whole destination column with a single scatter.
     """
     tables = fabric.tables
-    col = tables.column_of(dlid) if hasattr(tables, "column_of") else None
+    col = tables.column_of(dlid)
     if col is None or not parent:
         for switch, link_id in parent.items():
             fabric.set_route(switch, dlid, link_id)

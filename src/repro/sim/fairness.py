@@ -19,11 +19,11 @@ Two entry points:
   (the event loop calls it once per completion event).
 
 The incremental kernel is bit-for-bit equivalent to the original
-scipy-CSR implementation (kept as
-:func:`reference_max_min_fair_rates`, the executable spec the
-equivalence tests and perf baselines compare against): link occupancies
-are exact small-integer sums however they are accumulated, so the
-water levels, saturation order, and freezing order coincide exactly.
+scipy-CSR implementation (kept in the tests as
+``reference_max_min_fair_rates``, the executable spec the equivalence
+tests and perf baselines compare against): link occupancies are exact
+small-integer sums however they are accumulated, so the water levels,
+saturation order, and freezing order coincide exactly.
 """
 
 from __future__ import annotations
@@ -663,88 +663,6 @@ def max_min_fair_rates(
     if len(flow_links) == 0:
         return np.zeros(0)
     return FairnessProblem(flow_links, link_capacity).rates()
-
-
-def reference_max_min_fair_rates(
-    flow_links: Sequence[Sequence[int]],
-    link_capacity: Mapping[int, float] | Sequence[float] | np.ndarray,
-) -> np.ndarray:
-    """The pre-incremental implementation, kept as the executable spec.
-
-    Rebuilds the scipy CSR incidence from Python lists on every call —
-    exactly what :class:`FairnessProblem` exists to avoid.  The
-    equivalence tests assert the incremental engine matches this
-    function to 1e-9, and the perf benchmarks measure the speedup
-    against it; do not call it from production paths.
-    """
-    from scipy import sparse
-
-    n_flows = len(flow_links)
-    if n_flows == 0:
-        return np.zeros(0)
-
-    used_links: dict[int, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    empty_flows: list[int] = []
-    for f, links in enumerate(flow_links):
-        if not links:
-            empty_flows.append(f)
-            continue
-        for lid in links:
-            rows.append(used_links.setdefault(lid, len(used_links)))
-            cols.append(f)
-    n_links = len(used_links)
-    rates = np.zeros(n_flows)
-    if empty_flows:
-        rates[empty_flows] = np.inf
-    if n_links == 0:
-        return rates
-
-    if isinstance(link_capacity, Mapping):
-        caps = np.array([link_capacity[lid] for lid in used_links], dtype=float)
-    else:
-        cap_arr = np.asarray(link_capacity, dtype=float)
-        caps = np.array([cap_arr[lid] for lid in used_links], dtype=float)
-    if np.any(caps <= 0):
-        raise SimulationError("links must have positive capacity")
-
-    a = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n_links, n_flows)
-    )
-    at = a.T.tocsr()
-
-    active = np.ones(n_flows, dtype=bool)
-    active[empty_flows] = False
-    cap_left = caps.copy()
-    level = np.zeros(n_flows)
-
-    for _ in range(n_links + 1):
-        if not active.any():
-            break
-        n_active = a @ active.astype(float)
-        crossed = n_active > 0
-        if not crossed.any():
-            break
-        inc = np.min(cap_left[crossed] / n_active[crossed])
-        level[active] += inc
-        cap_left -= inc * n_active
-        saturated = crossed & (cap_left <= _EPS * caps)
-        if not saturated.any():
-            idx = np.argmin(np.where(crossed, cap_left / np.maximum(n_active, 1), np.inf))
-            saturated = np.zeros_like(crossed)
-            saturated[idx] = True
-        frozen = (at @ saturated.astype(float)) > 0
-        newly = frozen & active
-        if not newly.any():
-            raise SimulationError("progressive filling failed to converge")
-        rates[newly] = level[newly]
-        active &= ~newly
-    else:
-        raise SimulationError("progressive filling exceeded its iteration bound")
-
-    rates[active] = level[active]  # pathological leftovers (shouldn't occur)
-    return rates
 
 
 def link_loads(

@@ -1,27 +1,23 @@
 """The static link-load estimator: dense kernel == reference walk.
 
-:func:`~repro.analysis.load.estimate_link_loads` has two
-implementations — the frontier-wave numpy kernel over the dense matrix
-(shared with the what-if verifier via
-:func:`repro.routing.arrays.accumulate_column_loads`) and the per-entry
-reference Kahn walk.  They must agree to the integer on every fabric,
+:func:`~repro.analysis.load.estimate_link_loads` runs the frontier-wave
+numpy kernel over the dense matrix (shared with the what-if verifier
+via :func:`repro.routing.arrays.accumulate_column_loads`); the per-entry
+Kahn walk :func:`tests.reference_oracles.reference_link_loads` is its
+specification.  They must agree to the integer on every fabric,
 including degraded ones with stale entries over dead cables.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.load import (
-    _estimate_link_loads_dense,
-    _estimate_link_loads_reference,
-    estimate_link_loads,
-    load_summary,
-)
+from repro.analysis.load import estimate_link_loads, load_summary
 from repro.core.rng import make_rng
 from repro.ib.subnet_manager import OpenSM
 from repro.routing import DfssspRouting, MinHopRouting
 from repro.topology.hyperx import hyperx
 from repro.topology.t2hx import t2hx_hyperx
+from tests.reference_oracles import reference_link_loads
 
 
 def _small_fabric(dims, terminals, engine_cls):
@@ -40,8 +36,8 @@ class TestDenseMatchesReference:
     def test_agrees_on_random_small_fabrics(self, a, b, terminals, engine_cls):
         net, fabric = _small_fabric((a, b), terminals, engine_cls)
         dlids = fabric.lidmap.terminal_lids(net)
-        dense = _estimate_link_loads_dense(fabric, dlids)
-        reference = _estimate_link_loads_reference(fabric, dlids)
+        dense = estimate_link_loads(fabric)
+        reference = reference_link_loads(fabric, dlids)
         assert dense == reference
 
     @settings(max_examples=15, deadline=None)
@@ -61,8 +57,8 @@ class TestDenseMatchesReference:
         for idx in rng.choice(len(cables), size=kills, replace=False):
             net.disable_cable(cables[int(idx)].id)
         dlids = fabric.lidmap.terminal_lids(net)
-        dense = _estimate_link_loads_dense(fabric, dlids)
-        reference = _estimate_link_loads_reference(fabric, dlids)
+        dense = estimate_link_loads(fabric)
+        reference = reference_link_loads(fabric, dlids)
         assert dense == reference
 
     def test_agrees_with_masked_entries(self):
@@ -73,8 +69,8 @@ class TestDenseMatchesReference:
         # Knock out a couple of entries straight in the dense matrix.
         tables.dense[0, 0] = -1
         tables.dense[2, tables.dense.shape[1] - 1] = -1
-        dense = _estimate_link_loads_dense(fabric, dlids)
-        reference = _estimate_link_loads_reference(fabric, dlids)
+        dense = estimate_link_loads(fabric)
+        reference = reference_link_loads(fabric, dlids)
         assert dense == reference
 
 

@@ -12,6 +12,7 @@ from repro.campaign import (
     Ledger,
     campaign_paths,
     capability_grid,
+    capacity_sweep,
     run_campaign,
     summarize,
 )
@@ -262,6 +263,23 @@ class TestCampaignEngine:
                 ["hx-dfsssp-linear"], ["CoMD"], [14],
                 reps=1, scale=2, sim_mode="dynamic",
             ),
+        )
+        status = run_campaign(spec, tmp_path, workers=1)
+        assert status.failed == 1 and status.completed == 0
+        [rec] = Ledger(campaign_paths(tmp_path)["ledger"]).latest().values()
+        assert rec["status"] == "failed"
+        assert rec["error"]["type"] == "ReproError"
+        assert "truncated" in rec["error"]["message"]
+
+    def test_truncated_dynamic_capacity_cell_is_recorded_failed(
+        self, tmp_path, monkeypatch
+    ):
+        # The capacity scheduler's simulators hit the same event cap;
+        # its run counts are then approximate, never a clean success.
+        monkeypatch.setattr("repro.sim.engine._MAX_EVENTS_PER_PHASE", 1)
+        spec = CampaignSpec(
+            "trunc-capacity",
+            capacity_sweep(["hx-dfsssp-linear"], scale=4, sim_mode="dynamic"),
         )
         status = run_campaign(spec, tmp_path, workers=1)
         assert status.failed == 1 and status.completed == 0

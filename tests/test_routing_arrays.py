@@ -5,9 +5,9 @@ original implementation alongside as an executable specification:
 
 * array Dijkstra core           vs ``reference_tree_to_destination``
 * Pearce-Kelly lane layering    vs ``reference_assign_layers``
-* dense CDG column extraction   vs ``_dest_dependencies_generic``
+* dense CDG column extraction   vs ``reference_dest_dependencies``
 * bulk matrix path resolution   vs per-pair ``_snapshot_paths``
-* dense load estimation         vs ``_estimate_link_loads_reference``
+* dense load estimation         vs ``reference_link_loads``
 * incremental re-sweeps         vs a forced heavy sweep
 
 This module pins each pair together — down to the dict *key order* the
@@ -23,12 +23,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.load import (
-    _estimate_link_loads_reference,
-    estimate_link_loads,
-)
+from repro.analysis.load import estimate_link_loads
 from repro.core.errors import DeadlockError, RoutingError, TopologyError
-from repro.ib.cdg import _dest_dependencies_generic, dest_dependencies_from_tables
+from repro.ib.cdg import dest_dependencies_from_tables
 from repro.ib.deadlock import assign_layers, reference_assign_layers
 from repro.ib.fabric import FABRIC_FORMAT_VERSION, Fabric
 from repro.ib.subnet_manager import (
@@ -48,6 +45,7 @@ from repro.topology.fattree import k_ary_n_tree
 from repro.topology.faults import FabricEvent, inject_cable_faults
 from repro.topology.hyperx import hyperx
 from repro.topology.torus import torus
+from tests.reference_oracles import reference_dest_dependencies, reference_link_loads
 
 
 def _small_nets():
@@ -198,7 +196,7 @@ class TestDenseCdgExtraction:
         fabric = OpenSM(net).run(DfssspRouting())
         for dlid in fabric.lidmap.terminal_lids(net):
             assert dest_dependencies_from_tables(fabric, dlid) == \
-                _dest_dependencies_generic(net, fabric.tables, dlid)
+                reference_dest_dependencies(net, fabric.tables, dlid)
 
     def test_matches_generic_after_resweep(self):
         net = hyperx((3, 3), 2)
@@ -207,16 +205,7 @@ class TestDenseCdgExtraction:
         resweep(fabric, MinHopRouting())
         for dlid in fabric.lidmap.terminal_lids(net):
             assert dest_dependencies_from_tables(fabric, dlid) == \
-                _dest_dependencies_generic(net, fabric.tables, dlid)
-
-    def test_foreign_rows_fold_in(self):
-        net = hyperx((2, 2), 1)
-        fabric = OpenSM(net).run(MinHopRouting())
-        dlid = fabric.lidmap.terminal_lids(net)[0]
-        fake_switch = max(net.switches) + max(net.terminals) + 1
-        fabric.tables[fake_switch] = {dlid: _switch_links(net)[0]}
-        assert dest_dependencies_from_tables(fabric, dlid) == \
-            _dest_dependencies_generic(net, fabric.tables, dlid)
+                reference_dest_dependencies(net, fabric.tables, dlid)
 
 
 class TestForwardingTablesFacade:
@@ -249,29 +238,48 @@ class TestForwardingTablesFacade:
                 assert tables[sw][dlid] == link
                 assert dlid in tables[sw]
 
-    def test_overflow_dlid_outside_universe(self, fabric):
+    def test_dlid_outside_lid_map_is_refused(self, fabric):
         tables = fabric.tables
         sw = fabric.net.switches[0]
         weird_dlid = int(tables.dlids[-1]) + 1000
         assert tables.column_of(weird_dlid) is None
-        link = _switch_links(fabric.net)[0]
-        tables[sw][weird_dlid] = link
-        assert tables[sw][weird_dlid] == link
-        assert (sw, weird_dlid, link) in list(tables.overflow_items())
-        del tables[sw][weird_dlid]
         assert weird_dlid not in tables[sw]
+        with pytest.raises(KeyError):
+            tables[sw][weird_dlid]
+        before = tables.version
+        with pytest.raises(RoutingError, match=f"dlid {weird_dlid}"):
+            tables[sw][weird_dlid] = _switch_links(fabric.net)[0]
+        assert tables.version == before
 
-    def test_foreign_switch_row(self, fabric):
-        tables = fabric.tables
-        dlid = fabric.lidmap.terminal_lids(fabric.net)[0]
-        fake = max(fabric.net.switches) + max(fabric.net.terminals) + 1
-        assert tables.row_of(fake) is None
-        tables[fake] = {dlid: 0}
-        assert fake in tables.foreign_switches()
-        assert tables[fake][dlid] == 0
-        del tables[fake]
-        assert fake not in tables.foreign_switches()
-        assert fake not in tables
+    def test_set_route_at_unknown_dlid_is_refused(self, fabric):
+        net = fabric.net
+        sw = net.switches[0]
+        link = net.out_links(sw)[0].id
+        weird_dlid = int(fabric.tables.dlids[-1]) + 1000
+        with pytest.raises(RoutingError, match=f"dlid {weird_dlid}"):
+            fabric.set_route(sw, weird_dlid, link)
+
+    def test_table_at_terminal_is_refused(self, fabric):
+        net = fabric.net
+        terminal = net.terminals[0]
+        dlid = fabric.lidmap.terminal_lids(net)[0]
+        uplink = net.terminal_uplink(terminal).id
+        with pytest.raises(RoutingError, match=f"node {terminal}"):
+            fabric.tables[terminal] = {dlid: uplink}
+        assert terminal not in fabric.tables
+        with pytest.raises(RoutingError, match=f"node {terminal}"):
+            fabric.tables.setdefault(terminal, {})
+        with pytest.raises(RoutingError, match=f"node {terminal}"):
+            fabric.tables = {terminal: {dlid: uplink}}
+
+    def test_load_lft_with_unknown_dlid_is_refused(self, fabric):
+        net = fabric.net
+        sw = net.switches[0]
+        link = net.out_links(sw)[0].id
+        weird_dlid = int(fabric.tables.dlids[-1]) + 1000
+        text = f"Switch {sw} lid 0\n{weird_dlid} {link} 0\n"
+        with pytest.raises(RoutingError, match=f"dlid {weird_dlid}"):
+            fabric.load_lft(text)
 
     def test_clear_column(self, fabric):
         tables = fabric.tables
@@ -440,7 +448,7 @@ class TestLoadEstimatorEquivalence:
         fabric = OpenSM(net).run(engine())
         dlids = fabric.lidmap.terminal_lids(net)
         assert estimate_link_loads(fabric) == \
-            _estimate_link_loads_reference(fabric, dlids)
+            reference_link_loads(fabric, dlids)
 
     def test_dense_matches_reference_after_faults(self):
         net = hyperx((3, 3), 2)
@@ -449,15 +457,7 @@ class TestLoadEstimatorEquivalence:
         resweep(fabric, MinHopRouting())
         dlids = fabric.lidmap.terminal_lids(net)
         assert estimate_link_loads(fabric) == \
-            _estimate_link_loads_reference(fabric, dlids)
-
-    def test_foreign_rows_take_reference_path(self):
-        net = hyperx((2, 2), 1)
-        fabric = OpenSM(net).run(MinHopRouting())
-        dense = estimate_link_loads(fabric)
-        fake = max(net.switches) + max(net.terminals) + 1
-        fabric.tables[fake] = {}
-        assert estimate_link_loads(fabric) == dense
+            reference_link_loads(fabric, dlids)
 
 
 class TestPayloadRoundtrip:
@@ -477,6 +477,34 @@ class TestPayloadRoundtrip:
         payload = fabric.to_payload()
         payload["format_version"] = 1
         with pytest.raises(RoutingError, match="format"):
+            Fabric.from_payload(net, payload)
+
+    def test_version_4_payload_is_refused(self):
+        net = hyperx((2, 2), 1)
+        fabric = OpenSM(net).run(MinHopRouting())
+        payload = fabric.to_payload()
+        payload["format_version"] = 4
+        payload["tables"]["overflow"] = {}
+        payload["tables"]["foreign_rows"] = {}
+        with pytest.raises(RoutingError, match="format 4"):
+            Fabric.from_payload(net, payload)
+
+    def test_inline_payload_with_other_dlids_is_refused(self):
+        net = hyperx((2, 2), 1)
+        fabric = OpenSM(net).run(MinHopRouting())
+        payload = fabric.to_payload()
+        payload["tables"]["dlids"] = payload["tables"]["dlids"][::-1]
+        with pytest.raises(RoutingError, match="dlid universe"):
+            Fabric.from_payload(net, payload)
+
+    def test_inline_row_at_terminal_is_refused(self):
+        net = hyperx((2, 2), 1)
+        fabric = OpenSM(net).run(MinHopRouting())
+        payload = fabric.to_payload()
+        terminal = net.terminals[0]
+        width = len(payload["tables"]["dlids"])
+        payload["tables"]["rows"][str(terminal)] = [-1] * width
+        with pytest.raises(RoutingError, match=f"node {terminal}"):
             Fabric.from_payload(net, payload)
 
 

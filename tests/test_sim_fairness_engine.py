@@ -5,7 +5,7 @@ Three layers of protection for :class:`repro.sim.fairness.FairnessProblem`:
 * **equivalence** — randomized agreement (full solves, masked solves,
   and event-loop-style *sequences* of masked solves that exercise the
   bottleneck-structure hint) with
-  :func:`repro.sim.fairness.reference_max_min_fair_rates`, the
+  :func:`tests.reference_oracles.reference_max_min_fair_rates`, the
   pre-incremental scipy implementation kept as the executable spec;
 * **invariants** — capacity feasibility and max-min bottleneck
   optimality under arbitrary activity masks;
@@ -24,11 +24,8 @@ from hypothesis import strategies as st
 from repro.core.units import MIB
 from repro.experiments.configs import build_fabric, get_combination, make_job
 from repro.sim.engine import FlowSimulator
-from repro.sim.fairness import (
-    FairnessProblem,
-    link_loads,
-    reference_max_min_fair_rates,
-)
+from repro.sim.fairness import FairnessProblem, link_loads
+from tests.reference_oracles import reference_max_min_fair_rates
 
 RTOL = 1e-9
 
