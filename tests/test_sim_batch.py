@@ -154,6 +154,31 @@ class TestPhaseBatchStaleness:
         assert fresh is not phase.batch
         assert fresh.n == 2 and fresh.flat.tolist() == [5, 6]
 
+    def test_in_place_edit_of_hand_built_phase_is_refused(self, env):
+        # Editing a message while keeping the count must not leave the
+        # simulator running the batch of the unedited phase.
+        net, fabric = env
+        a, b = net.terminals[0], net.terminals[-1]
+        path = tuple(fabric.path(a, b))
+        phase = Phase(messages=[Message(a, b, 1.0 * MIB, path)])
+        phase.batch = MessageBatch.from_messages(list(phase.messages))
+        sim = FlowSimulator(net, mode="static")
+        before = sim.run_phase(phase).duration
+        with pytest.raises((AttributeError, TypeError)):
+            phase.messages[0].size = 4.0 * MIB
+        with pytest.raises((AttributeError, TypeError)):
+            phase.messages[0] = Message(a, b, 1.0 * MIB, path[:1] + path)
+        assert sim.run_phase(phase).duration == before
+
+    def test_in_place_edit_of_materialized_phase_is_refused(self, env):
+        net, fabric = env
+        job = Job(fabric, net.terminals[:2])
+        phase = job.send(0, 1, 1.0 * MIB).phases[0]
+        before = FlowSimulator(net, mode="static").run_phase(phase).duration
+        with pytest.raises((AttributeError, TypeError)):
+            phase.messages[0].size = 4.0 * MIB
+        assert FlowSimulator(net, mode="static").run_phase(phase).duration == before
+
     def test_invalidate_batch(self):
         phase = Phase(messages=[Message(0, 1, 1.0, (5,))])
         phase.batch = MessageBatch.from_messages(phase.messages)
