@@ -129,6 +129,11 @@ class Fabric:
                 f"cannot install route at switch {switch} via link {link_id} "
                 f"which leaves node {link.src}"
             )
+        if self.tables.column_of(dlid) is None:
+            raise RoutingError(
+                f"cannot route dlid {dlid} at switch {switch}: the dlid is "
+                "not in the fabric's LID map"
+            )
         self.tables.setdefault(switch, {})[dlid] = link_id
 
     def install_terminal_hops(self) -> None:

@@ -30,6 +30,22 @@ class TestTableInstallation:
         with pytest.raises(RoutingError):
             fabric.set_route(net.switches[0], 1, foreign.id)
 
+    def test_refused_dlid_leaves_tables_untouched(self):
+        # A write refused for its DLID must not mark the switch present.
+        net = hyperx((2, 2), 1)
+        fabric = Fabric(net, assign_lids_sequential(net))
+        sw = net.switches[0]
+        link = net.out_links(sw)[0]
+        before = list(fabric.tables)
+        rows_before = fabric.to_payload(rows_file="x.npy")["tables"]["row_switches"]
+        with pytest.raises(RoutingError, match="not in the fabric's LID map"):
+            fabric.set_route(sw, 99999, link.id)
+        assert list(fabric.tables) == before == []
+        assert (
+            fabric.to_payload(rows_file="x.npy")["tables"]["row_switches"]
+            == rows_before
+        )
+
     def test_terminal_hops_installed(self, blank):
         net, fabric = blank
         fabric.install_terminal_hops()
