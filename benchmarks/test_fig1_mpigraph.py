@@ -99,8 +99,7 @@ def test_fig1_bottleneck_cause(write_report):
     a, b = sorted(sw)
     assert len(net.links_between(a, b)) == 1  # a single QDR cable
     # All 7 cross-switch flows of a shift pattern share it.
-    job = Job(fabric, nodes)
-    paths = [job._path(nodes[i], nodes[i + 7], 0) for i in range(7)]
+    paths = [fabric.path(nodes[i], nodes[i + 7]) for i in range(7)]
     cable = net.links_between(a, b)[0].id
     assert all(cable in p for p in paths)
     write_report(

@@ -268,11 +268,9 @@ def run_resilience(
                         ),
                     ))
 
-            def on_event(events, phase_index, fabric=fabric, job=job,
+            def on_event(events, phase_index, fabric=fabric,
                          engine=engine, sm=sm):
-                report = sm.resweep(fabric, engine, events=events)
-                job.invalidate_paths()
-                return report
+                return sm.resweep(fabric, engine, events=events)
 
             def reroute(msg, fabric=fabric):
                 try:

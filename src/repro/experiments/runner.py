@@ -231,7 +231,7 @@ def run_capability(
         except ReproError:
             whatif = None
 
-        def on_event(events, phase_index, fabric=fabric, job=job):
+        def on_event(events, phase_index, fabric=fabric):
             report = resweep(fabric, engine, events=events)
             if whatif is not None:
                 failed = [
@@ -247,7 +247,6 @@ def run_capability(
                     report.cable_criticality = crits[0]
                 elif crits:
                     report.cable_criticality = {"cables": crits}
-            job.invalidate_paths()
             return report
 
         def reroute(msg, fabric=fabric):

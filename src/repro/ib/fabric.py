@@ -101,9 +101,10 @@ class Fabric:
     _path_cache: dict[tuple[int, int, int], list[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    #: Per-destination bulk memo (:meth:`dest_paths`): dlid -> per-switch-
-    #: row path tuples; shares the version triple with ``_path_cache``.
-    _dest_path_cache: dict[int, list] = field(
+    #: Per-destination bulk memo (:meth:`dest_paths`): dlid -> the
+    #: walk's ``(ok, lens, steps)`` arrays; shares the version triple
+    #: with ``_path_cache``.
+    _dest_path_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _path_cache_version: tuple[int, int, int] = field(
@@ -221,46 +222,47 @@ class Fabric:
             self._dest_path_cache.clear()
             self._path_cache_version = version
 
-    def dest_paths(self, dlid: int) -> list:
-        """Per-switch-row link paths toward one destination LID, in bulk.
+    def dest_paths(
+        self, dlid: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every switch's link path toward one destination LID, in bulk.
 
-        ``dest_paths(dlid)[row]`` is the link-id tuple a packet entering
-        the fabric at switch ``tables.switch_ids[row]`` takes to reach
-        ``dlid`` — the post-uplink portion of :meth:`resolve`'s path,
-        ejection hop included — or ``None`` where the walk fails for any
-        reason ``resolve`` would raise on (missing entry, disabled link,
-        wrong-terminal exit, forwarding loop).  Callers needing the
-        exact diagnostic fall back to :meth:`resolve` / :meth:`path` for
-        those rows.
+        The :func:`~repro.ib.tables.walk_dest_links` arrays
+        ``(ok, lens, steps)`` for ``dlid``, indexed by switch row
+        (``tables.switch_ids`` order): a packet entering the fabric at
+        row ``r`` takes links ``steps[:lens[r], r]`` — the post-uplink
+        portion of :meth:`resolve`'s path, ejection hop included — and
+        ``ok[r]`` is false exactly where ``resolve`` would raise
+        (missing entry, disabled link, wrong-terminal exit, forwarding
+        loop).  A DLID outside the tables' universe is ``ok`` nowhere.
+        Callers needing the exact diagnostic fall back to
+        :meth:`resolve` / :meth:`path` for those rows.
 
-        One vectorised :func:`~repro.ib.tables.walk_dest_links` pass per
-        destination instead of a Python table walk per source terminal;
-        memoised under the same version triple as :meth:`path`.
+        One vectorised walk per destination instead of a Python table
+        walk per source terminal; memoised under the same version
+        triple as :meth:`path`.  The arrays are shared by every caller:
+        treat them as read-only.
         """
         self._validate_memos()
         cached = self._dest_path_cache.get(dlid)
         if cached is None:
-            cached = self._build_dest_paths(dlid)
+            col = self.tables.column_of(dlid)
+            if col is None:
+                n_rows = len(self.tables.switch_ids)
+                cached = (
+                    np.zeros(n_rows, dtype=bool),
+                    np.zeros(n_rows, dtype=np.int32),
+                    np.zeros((0, n_rows), dtype=np.int32),
+                )
+            else:
+                cached = walk_dest_links(
+                    self.tables.dense,
+                    self.net.switch_graph(),
+                    col,
+                    self.lidmap.node_of(dlid),
+                )
             self._dest_path_cache[dlid] = cached
         return cached
-
-    def _build_dest_paths(self, dlid: int) -> list:
-        n_rows = len(self.tables.switch_ids)
-        col = self.tables.column_of(dlid)
-        if col is None:
-            return [None] * n_rows
-        ok, lens, steps = walk_dest_links(
-            self.tables.dense,
-            self.net.switch_graph(),
-            col,
-            self.lidmap.node_of(dlid),
-        )
-        rows = steps.T.tolist()
-        lens_list = lens.tolist()
-        return [
-            tuple(rows[r][: lens_list[r]]) if good else None
-            for r, good in enumerate(ok.tolist())
-        ]
 
     def hops(self, src: int, dst: int, lid_index: int = 0) -> int:
         """Switch-to-switch hop count between two terminals."""

@@ -8,22 +8,28 @@
 
 It binds a routed fabric, a rank-to-node mapping (one rank per node,
 the paper's execution model) and a PML, and materialises rank-level
-phase lists into :class:`~repro.sim.flows.Program` objects with
-resolved link paths.  Resolved paths are cached per (src, dst, LID
-index) since collectives reuse pairs across rounds.
+phase lists into :class:`~repro.sim.flows.Program` objects whose phases
+are :class:`~repro.sim.batch.MessageBatch` arrays.  Materialisation is
+array-shaped: all phases' messages are resolved together, paths are
+gathered from the fabric's per-destination walks
+(:meth:`~repro.ib.fabric.Fabric.dest_paths`, memoised per destination
+LID), and no per-message Python object is built.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
-from repro.core.errors import ConfigurationError
+import numpy as np
+
+from repro.core.errors import ConfigurationError, ReproError
 from repro.ib.fabric import Fabric
 from repro.mpi import collectives as coll
 from repro.mpi.collectives import RankPhase
 from repro.mpi.pml import Ob1Pml, Pml
-from repro.sim.batch import MessageBatch, PathPool
-from repro.sim.flows import Message, Phase, Program
+from repro.sim.batch import MessageBatch, segment_gather
+from repro.sim.flows import Phase, Program
 
 
 class Job:
@@ -43,20 +49,16 @@ class Job:
         self.fabric = fabric
         self.nodes = list(nodes)
         self.pml = pml or Ob1Pml()
-        # (src, dst, lid index) -> (pool id, path tuple): one dict probe
-        # per message on the materialize hot path.
-        self._resolve_cache: dict[
-            tuple[int, int, int], tuple[int, tuple[int, ...]]
-        ] = {}
-        self._path_version = -1
-        # Interned-path pool backing the batches materialize() attaches to
-        # each phase: one pool id per cached path, reset with the cache.
-        self._pool = PathPool()
-        # terminal -> (uplink id, forwarding-table row of its switch) and
-        # dlid -> per-row switch paths, feeding the bulk resolution fast
-        # path.
-        self._uplink_cache: dict[int, tuple[int, int | None]] = {}
-        self._dest_cache: dict[int, list] = {}
+        self._node_of_rank = np.asarray(self.nodes, dtype=np.int64)
+        # Per-rank uplink id, host-switch table row and base LID, plus
+        # the DLID -> table column lookup; rebuilt whenever the key
+        # (topology version, tables identity and version) moves, like
+        # the fabric's own path memos.
+        self._rank_key: tuple[int, int, int] | None = None
+        self._rank_uplink = np.empty(0, dtype=np.int64)
+        self._rank_row = np.empty(0, dtype=np.int64)
+        self._rank_base = np.empty(0, dtype=np.int64)
+        self._col_of_dlid = np.empty(0, dtype=np.int64)
 
     @property
     def num_ranks(self) -> int:
@@ -72,116 +74,167 @@ class Job:
         label: str = "",
         compute_between_phases: float = 0.0,
     ) -> Program:
-        """Resolve rank-level phases into a runnable program."""
+        """Resolve rank-level phases into a runnable program.
+
+        Self-sends are dropped (a local copy moves no network bytes).
+        The PML picks every message's LID index in message order, and
+        each path is the source's uplink followed by the switch walk
+        toward the chosen DLID.  Where the bulk walk refuses a pair,
+        the per-pair :meth:`~repro.ib.fabric.Fabric.path` resolves it,
+        raising its exact diagnostic.
+        """
+        fabric = self.fabric
+        counts = [len(rp) for rp in rank_phases]
+        triples = np.fromiter(
+            chain.from_iterable(chain.from_iterable(rank_phases)),
+            dtype=float,
+            count=3 * sum(counts),
+        ).reshape(-1, 3)
+        s_rank = triples[:, 0].astype(np.int64)
+        d_rank = triples[:, 1].astype(np.int64)
+        remote = self._node_of_rank[s_rank] != self._node_of_rank[d_rank]
+        s_rank, d_rank = s_rank[remote], d_rank[remote]
+        sizes = triples[remote, 2]
+        src = self._node_of_rank[s_rank]
+        dst = self._node_of_rank[d_rank]
+        lidx = self.pml.lid_indices(fabric, src, dst, sizes)
+        batch = self._resolve_batch(s_rank, d_rank, src, dst, sizes, lidx)
+
         program = Program(
             label=label, compute_between_phases=compute_between_phases
         )
-        overhead = self.pml.overhead
-        for i, rp in enumerate(rank_phases):
-            phase = Phase(label=f"{label}[{i}]" if label else f"phase{i}")
-            pids: list[int] = []
-            sizes: list[float] = []
-            srcs: list[int] = []
-            dsts: list[int] = []
-            for s_rank, d_rank, size in rp:
-                src = self.nodes[s_rank]
-                dst = self.nodes[d_rank]
-                if src == dst:
-                    continue  # local copy, no network traffic
-                lidx = self.pml.lid_index(self.fabric, src, dst, size)
-                pid, path = self._resolve(src, dst, lidx)
-                phase.messages.append(
-                    Message(
-                        src=src,
-                        dst=dst,
-                        size=float(size),
-                        path=path,
-                        overhead=overhead,
-                        tag=label,
-                    )
-                )
-                pids.append(pid)
-                sizes.append(float(size))
-                srcs.append(src)
-                dsts.append(dst)
-            phase.batch = MessageBatch.from_pool(
-                self._pool, pids, sizes, overhead, srcs, dsts
+        bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+        ends = np.concatenate(([0], remote.cumsum()))[bounds].tolist()
+        flat_ends = batch.ptr[ends].tolist()
+        for i in range(len(counts)):
+            a, b = ends[i], ends[i + 1]
+            pa = flat_ends[i]
+            part = MessageBatch(
+                batch.sizes[a:b],
+                batch.overheads[a:b],
+                batch.src[a:b],
+                batch.dst[a:b],
+                batch.lens[a:b],
+                batch.ptr[a:b + 1] - pa,
+                batch.flat[pa:flat_ends[i + 1]],
             )
-            program.phases.append(phase)
+            program.phases.append(Phase(
+                label=f"{label}[{i}]" if label else f"phase{i}",
+                batch=part,
+                tag=label,
+            ))
         return program
 
-    def _path(self, src: int, dst: int, lidx: int) -> tuple[int, ...]:
-        """The pair's interned path tuple (see :meth:`_resolve`)."""
-        return self._resolve(src, dst, lidx)[1]
-
-    def _fast_path(self, src: int, dst: int, lidx: int) -> tuple[int, ...] | None:
-        """Bulk-resolved path for one pair, or None to fall back.
-
-        Composes the terminal's uplink with the fabric's vectorised
-        per-destination switch walk (:meth:`repro.ib.fabric.Fabric.
-        dest_paths`) — identical link sequences to ``fabric.path``, one
-        numpy walk per destination instead of a Python walk per pair.
-        """
+    def _resolve_batch(
+        self,
+        s_rank: np.ndarray,
+        d_rank: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        sizes: np.ndarray,
+        lidx: np.ndarray,
+    ) -> MessageBatch:
+        """One batch of resolved messages (the body of :meth:`materialize`)."""
         fabric = self.fabric
-        up = self._uplink_cache.get(src)
-        if up is None:
-            uplink = fabric.net.terminal_uplink(src)
-            up = (uplink.id, fabric.tables.row_of(uplink.dst))
-            self._uplink_cache[src] = up
-        uplink_id, row = up
-        if row is None:
-            return None
-        dlid = fabric.lidmap.lid(dst, lidx)
-        dp = self._dest_cache.get(dlid)
-        if dp is None:
-            dp = fabric.dest_paths(dlid)
-            self._dest_cache[dlid] = dp
-        swpath = dp[row]
-        if swpath is None:
-            return None
-        return (uplink_id, *swpath)
+        self._refresh_rank_arrays()
+        n = len(src)
+        lids_per_port = fabric.lidmap.lids_per_port
+        bad_index = (lidx < 0) | (lidx >= lids_per_port)
+        if bad_index.any():
+            i = int(np.argmax(bad_index))
+            fabric.lidmap.lid(int(dst[i]), int(lidx[i]))  # raises
 
-    def _resolve(self, src: int, dst: int, lidx: int) -> tuple[int, tuple[int, ...]]:
-        """Interned ``(pool id, path tuple)`` for one pair/LID choice.
+        # DLID -> table column, then one bulk walk per distinct column.
+        base = self._rank_base[d_rank]
+        dlid = base + lidx
+        lut = self._col_of_dlid
+        in_lut = (base >= 0) & (dlid < len(lut))
+        col = np.where(in_lut, lut[np.where(in_lut, dlid, 0)], -1)
+        row = self._rank_row[s_rank]
+        good = (col >= 0) & (row >= 0)
+        n_cols = len(fabric.tables.dlids)
+        used = np.zeros(n_cols, dtype=bool)
+        used[col[good]] = True
+        ucols = np.flatnonzero(used)
+        walks = [
+            fabric.dest_paths(int(d)) for d in fabric.tables.dlids[ucols]
+        ]
+        u_of_col = np.zeros(n_cols, dtype=np.intp)
+        u_of_col[ucols] = np.arange(len(ucols))
+        u = u_of_col[np.where(good, col, 0)]
+        r = np.where(good, row, 0)
 
-        A tuple-interning layer over the fabric's bulk resolution: the
-        same pair's path is one shared tuple (and one pool id) across
-        every message that uses it.  Topology changes are caught by the
-        version check; table rewrites (re-sweeps) go through
-        invalidate_paths().
-        """
-        version = self.fabric.net.version
-        if version != self._path_version:
-            self._reset_caches()
-            self._path_version = version
-        key = (src, dst, lidx)
-        hit = self._resolve_cache.get(key)
-        if hit is None:
-            path = self._fast_path(src, dst, lidx)
-            if path is None:
-                # The bulk walk refused this pair; the per-pair resolve
-                # raises the precise diagnostic (or proves it wrong).
-                path = tuple(self.fabric.path(src, dst, lidx))
-            hit = (self._pool.add(path), path)
-            self._resolve_cache[key] = hit
-        return hit
+        # The walks' step matrices, transposed so each (row, DLID) path
+        # is one contiguous segment of ``store``.
+        n_rows = fabric.tables.dense.shape[0]
+        if walks:
+            depth = np.array([w[2].shape[0] for w in walks], dtype=np.intp)
+            block = np.concatenate(([0], np.cumsum(depth * n_rows)))
+            store = np.concatenate([w[2].T.ravel() for w in walks])
+            good &= np.stack([w[0] for w in walks])[u, r]
+            sw_lens = np.stack([w[1] for w in walks])[u, r].astype(np.intp)
+            sw_lens[~good] = 0
+            starts = block[u] + r * depth[u]
+        else:
+            store = np.empty(0, dtype=np.int32)
+            sw_lens = starts = np.zeros(n, dtype=np.intp)
+        lens = sw_lens + 1
+        ptr = np.concatenate(([0], lens.cumsum())).astype(np.intp)
+        flat = np.empty(int(ptr[-1]), dtype=np.intp)
+        switch_part = np.ones(len(flat), dtype=bool)
+        switch_part[ptr[:-1]] = False
+        flat[ptr[:-1]] = self._rank_uplink[s_rank]
+        flat[switch_part] = segment_gather(starts, sw_lens, store)
+        batch = MessageBatch(
+            sizes,
+            np.full(n, float(self.pml.overhead)),
+            src,
+            dst,
+            lens,
+            ptr,
+            flat,
+        )
+        if good.all():
+            return batch
+        # The bulk walk refused these pairs; the per-pair resolve raises
+        # the precise diagnostic (or proves the walk wrong).
+        return batch.replace_paths({
+            i: fabric.path(int(src[i]), int(dst[i]), int(lidx[i]))
+            for i in np.flatnonzero(~good).tolist()
+        })
 
-    def _reset_caches(self) -> None:
-        self._resolve_cache.clear()
-        self._uplink_cache.clear()
-        self._dest_cache.clear()
-        self._pool = PathPool()
-
-    def invalidate_paths(self) -> None:
-        """Drop cached paths after the fabric's tables changed.
-
-        An SM re-sweep (:func:`repro.ib.subnet_manager.resweep`) rewrites
-        forwarding entries in place; programs materialized afterwards must
-        re-resolve against the new tables instead of replaying stale paths
-        over dead cables.  Pool ids die with the cache, so batches built
-        later never alias pre-sweep paths.
-        """
-        self._reset_caches()
+    def _refresh_rank_arrays(self) -> None:
+        """Rebuild the per-rank resolution arrays if the fabric moved on."""
+        fabric = self.fabric
+        tables = fabric.tables
+        key = (fabric.net.version, tables.uid, tables.version)
+        if key == self._rank_key:
+            return
+        net = fabric.net
+        uplink = np.full(len(self.nodes), -1, dtype=np.int64)
+        row = np.full(len(self.nodes), -1, dtype=np.int64)
+        for rank, node in enumerate(self.nodes):
+            try:
+                link = net.terminal_uplink(node)
+            except ReproError:
+                continue  # the per-pair fallback raises the diagnostic
+            uplink[rank] = link.id
+            r = tables.row_of(link.dst)
+            if r is not None:
+                row[rank] = r
+        base = fabric.lidmap.base
+        self._rank_uplink = uplink
+        self._rank_row = row
+        self._rank_base = np.fromiter(
+            (base.get(node, -1) for node in self.nodes),
+            dtype=np.int64,
+            count=len(self.nodes),
+        )
+        dlids = tables.dlids
+        lut = np.full(int(dlids[-1]) + 1 if len(dlids) else 0, -1, dtype=np.int64)
+        lut[dlids] = np.arange(len(dlids))
+        self._col_of_dlid = lut
+        self._rank_key = key
 
     # --- MPI operations -----------------------------------------------------------
     def send(self, src_rank: int, dst_rank: int, size: float) -> Program:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError
 from repro.core.rng import make_rng
 from repro.core.units import BFO_PML_OVERHEAD, PARX_SIZE_THRESHOLD
@@ -40,6 +42,28 @@ class Pml(ABC):
     def lid_index(self, fabric: Fabric, src: int, dst: int, size: float) -> int:
         """Destination LID index (0..2**lmc-1) for one message."""
 
+    def lid_indices(
+        self,
+        fabric: Fabric,
+        src: np.ndarray,
+        dst: np.ndarray,
+        sizes: np.ndarray,
+    ) -> np.ndarray:
+        """LID indices for a run of messages, as an int64 array.
+
+        Calls :meth:`lid_index` once per message, in order, so stateful
+        layers (bfo's per-connection counters, PARX's random draws)
+        advance exactly as if the messages were chosen one by one.
+        """
+        return np.fromiter(
+            (
+                self.lid_index(fabric, s, d, z)
+                for s, d, z in zip(src.tolist(), dst.tolist(), sizes.tolist())
+            ),
+            dtype=np.int64,
+            count=len(src),
+        )
+
     def reset(self) -> None:
         """Clear per-connection state (between independent runs)."""
 
@@ -52,6 +76,15 @@ class Ob1Pml(Pml):
 
     def lid_index(self, fabric: Fabric, src: int, dst: int, size: float) -> int:
         return 0
+
+    def lid_indices(
+        self,
+        fabric: Fabric,
+        src: np.ndarray,
+        dst: np.ndarray,
+        sizes: np.ndarray,
+    ) -> np.ndarray:
+        return np.zeros(len(src), dtype=np.int64)
 
 
 class BfoPml(Pml):

@@ -1,46 +1,43 @@
-"""Flat-array message batches: a phase as five numpy arrays.
+"""Flat-array message batches: a phase as seven numpy arrays.
 
-The simulator's hot loop never wants :class:`~repro.sim.flows.Message`
-objects — it wants the phase's payload sizes, per-message software
-overheads and the flattened link-id paths.  Historically
-``FlowSimulator.run_phase`` re-derived those with ``np.fromiter`` over
-every message's ``path`` tuple *each time a phase ran*; for a 672-node
-all-to-all that is ~450k Python-level int reads per phase, repeated for
-671 phases.
-
-:class:`MessageBatch` is the prebuilt form: parallel arrays
+A :class:`~repro.sim.flows.Phase` stores its messages as one
+:class:`MessageBatch` — parallel arrays
 
 * ``sizes``/``overheads`` — float per message,
 * ``src``/``dst`` — terminal node ids per message,
 * ``lens``/``ptr``/``flat`` — the CSR flattening of the link-id paths
   (message ``i`` crosses ``flat[ptr[i]:ptr[i+1]]``).
 
-:func:`flatten_paths` is the one shared flattening kernel — the same
-pass the fairness solver and the byte-per-link accounting use — and
-:class:`PathPool` lets builders (the MPI job layer) construct batches
-from *interned* path ids with a vectorised segment gather instead of
-re-walking path tuples per message: collectives reuse the same
-(src, dst, LID) pairs across rounds, so the per-int Python work happens
-once per unique path, not once per message.
+The batch is the phase's only representation: the simulator's hot loop,
+the fairness solver and the byte-per-link accounting read these arrays,
+and :class:`~repro.sim.flows.Message` objects exist only when a
+per-message consumer asks the phase's read-only ``messages`` view for
+them.  The arrays are read-only, so a batch can be shared by several
+phases (the EmDL program repeats one Allreduce) and no consumer can
+edit a phase behind another's back.
 
-Equivalence guarantee: a batch built by :meth:`MessageBatch.from_pool`
-is element-for-element identical (values *and* dtypes) to
-:meth:`MessageBatch.from_messages` over the same message list, which in
-turn reproduces the arrays ``run_phase`` used to build inline — the
-``tests/test_sim_batch.py`` suite pins this, and it is what keeps
-dynamic-mode results bit-identical to the per-message path.
+Builders make batches three ways, all element-for-element identical
+(values *and* dtypes) to :meth:`MessageBatch.from_messages` over the
+same message list: ``Job.materialize`` gathers every phase's paths from
+the fabric's per-destination walks with array operations,
+:meth:`MessageBatch.concat` joins batches (concurrent programs), and
+:meth:`MessageBatch.replace_paths` swaps rerouted paths in after a
+cable failure.  ``tests/test_sim_batch.py`` and
+``tests/test_materialize_reference.py`` pin these equivalences, which
+keep every simulated duration bit-identical to the per-message
+pipeline.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.flows import Message, Phase
+    from repro.sim.flows import Message
 
-__all__ = ["MessageBatch", "PathPool", "flatten_paths", "phase_batch"]
+__all__ = ["MessageBatch", "flatten_paths", "segment_gather"]
 
 
 def flatten_paths(
@@ -63,7 +60,7 @@ def flatten_paths(
     return lens, ptr, flat
 
 
-def _segment_gather(
+def segment_gather(
     starts: np.ndarray, lens: np.ndarray, flat_pool: np.ndarray
 ) -> np.ndarray:
     """Concatenate ``flat_pool[starts[i]:starts[i]+lens[i]]`` segments.
@@ -77,76 +74,6 @@ def _segment_gather(
     seg_ends = lens.cumsum()
     within = np.arange(total) - np.repeat(seg_ends - lens, lens)
     return flat_pool[np.repeat(starts, lens) + within]
-
-
-class PathPool:
-    """Interned link-id paths, stored once as one growing flat array.
-
-    ``add`` registers a path and returns its id; ``MessageBatch`` then
-    gathers per-message segments by id.  The pool never deduplicates —
-    callers that intern (the job layer keys on ``(src, dst, lid_index)``)
-    get dedup for free, and callers that do not still get the one-pass
-    gather.
-    """
-
-    __slots__ = ("_paths", "_starts", "_lens", "_flat", "_built", "_flat_used")
-
-    def __init__(self) -> None:
-        self._paths: list[Sequence[int]] = []
-        self._starts = np.empty(0, dtype=np.intp)
-        self._lens = np.empty(0, dtype=np.intp)
-        self._flat = np.empty(0, dtype=np.intp)
-        self._built = 0  # paths already folded into the arrays
-        self._flat_used = 0  # valid prefix of the _flat buffer
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-    def add(self, path: Sequence[int]) -> int:
-        """Register a path; returns its pool id."""
-        self._paths.append(path)
-        return len(self._paths) - 1
-
-    @staticmethod
-    def _append(buf: np.ndarray, used: int, new: np.ndarray) -> np.ndarray:
-        """Copy ``new`` in at ``buf[used:]``, growing geometrically.
-
-        Amortised-linear over the pool's lifetime — the old code
-        re-concatenated the *whole* array on every flush, which made a
-        call-per-phase builder quadratic in the total path count.
-        """
-        need = used + new.size
-        if need > buf.size:
-            grown = np.empty(max(need, 2 * buf.size, 1024), dtype=np.intp)
-            grown[:used] = buf[:used]
-            buf = grown
-        buf[used:need] = new
-        return buf
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(starts, lens, flat)`` over every registered path.
-
-        Rebuilt incrementally: only paths added since the last call are
-        flattened and copied into preallocated buffers, so repeated
-        batch construction over a growing pool stays linear in new
-        work.  The results are views of the internal buffers — callers
-        must treat them as read-only.
-        """
-        if self._built < len(self._paths):
-            new = self._paths[self._built:]
-            lens, ptr, flat = flatten_paths(new)
-            self._starts = self._append(
-                self._starts, self._built, ptr[:-1] + self._flat_used
-            )
-            self._lens = self._append(self._lens, self._built, lens)
-            self._flat = self._append(self._flat, self._flat_used, flat)
-            self._built = len(self._paths)
-            self._flat_used += int(flat.size)
-        return (
-            self._starts[: self._built],
-            self._lens[: self._built],
-            self._flat[: self._flat_used],
-        )
 
 
 class MessageBatch:
@@ -164,6 +91,8 @@ class MessageBatch:
         ptr: np.ndarray,
         flat: np.ndarray,
     ) -> None:
+        for arr in (sizes, overheads, src, dst, lens, ptr, flat):
+            arr.flags.writeable = False
         self.n = int(len(sizes))
         self.sizes = sizes
         self.overheads = overheads
@@ -175,11 +104,11 @@ class MessageBatch:
 
     @classmethod
     def from_messages(cls, messages: Sequence["Message"]) -> "MessageBatch":
-        """Build a batch from message objects (the compatibility path).
+        """Build a batch from message objects (hand-built phases).
 
         Reproduces exactly the arrays ``run_phase`` built inline before
-        batching existed — hand-assembled phases pay this once per run,
-        like they always did.
+        batching existed; a hand-built ``Phase(messages)`` pays this
+        once, at construction.
         """
         n = len(messages)
         lens, ptr, flat = flatten_paths([m.path for m in messages])
@@ -192,35 +121,49 @@ class MessageBatch:
         return cls(sizes, overheads, src, dst, lens, ptr, flat)
 
     @classmethod
-    def from_pool(
-        cls,
-        pool: PathPool,
-        path_ids: Sequence[int],
-        sizes: Iterable[float],
-        overhead: float,
-        src: Sequence[int],
-        dst: Sequence[int],
-    ) -> "MessageBatch":
-        """Build a batch from pooled path ids (the builder fast path).
+    def concat(cls, batches: Sequence["MessageBatch"]) -> "MessageBatch":
+        """One batch holding ``batches``' messages in order.
 
-        ``overhead`` is the per-message software latency (constant per
-        PML, hence scalar here).  Arrays come out identical to
-        :meth:`from_messages` over the corresponding message objects.
+        Identical to :meth:`from_messages` over the concatenated message
+        lists; a single batch is returned as is (batches are read-only,
+        so sharing one is safe).
         """
-        starts_all, lens_all, flat_pool = pool.arrays()
-        pid = np.asarray(path_ids, dtype=np.intp)
-        n = int(pid.size)
-        lens = lens_all[pid]
-        ptr = np.concatenate(([0], lens.cumsum())).astype(np.intp)
-        flat = _segment_gather(starts_all[pid], lens, flat_pool)
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            return cls.from_messages([])
+        cat = np.concatenate
+        lens = cat([b.lens for b in batches])
         return cls(
-            np.asarray(sizes, dtype=float),
-            np.full(n, float(overhead)),
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
+            cat([b.sizes for b in batches]),
+            cat([b.overheads for b in batches]),
+            cat([b.src for b in batches]),
+            cat([b.dst for b in batches]),
             lens,
-            ptr,
-            flat,
+            np.concatenate(([0], lens.cumsum())).astype(np.intp),
+            cat([b.flat for b in batches]),
+        )
+
+    def replace_paths(self, paths: Mapping[int, Sequence[int]]) -> "MessageBatch":
+        """A copy with message ``i``'s path replaced by ``paths[i]``.
+
+        Every other array is shared; the flat path array is rebuilt in
+        message order, one slice per untouched run of messages.
+        """
+        lens = self.lens.copy()
+        pieces = []
+        prev = 0
+        for i in sorted(paths):
+            pieces.append(self.flat[self.ptr[prev]:self.ptr[i]])
+            new = np.asarray(paths[i], dtype=np.intp)
+            pieces.append(new)
+            lens[i] = new.size
+            prev = i + 1
+        pieces.append(self.flat[self.ptr[prev]:])
+        return MessageBatch(
+            self.sizes, self.overheads, self.src, self.dst, lens,
+            np.concatenate(([0], lens.cumsum())).astype(np.intp),
+            np.concatenate(pieces),
         )
 
     def bytes_per_link(self, n_links: int) -> np.ndarray:
@@ -236,19 +179,3 @@ class MessageBatch:
             weights=np.repeat(self.sizes, self.lens),
             minlength=n_links,
         )
-
-
-def phase_batch(phase: "Phase") -> "MessageBatch":
-    """The phase's prebuilt batch, or a fresh one from its messages.
-
-    A prebuilt batch is trusted only while its message count still
-    matches the phase (builders attach batches at materialisation time;
-    code that edits ``phase.messages`` in place afterwards must call
-    :meth:`~repro.sim.flows.Phase.invalidate_batch`).  Phases without a
-    valid batch are flattened from their message objects — the exact
-    arrays the simulator used to build inline.
-    """
-    b = phase.batch
-    if b is not None and b.n == len(phase.messages):
-        return b
-    return MessageBatch.from_messages(phase.messages)

@@ -27,13 +27,12 @@ a dead cable must never simulate at line rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.errors import SimulationError
-from repro.sim.batch import phase_batch
 from repro.sim.fairness import FairnessProblem
 from repro.sim.flows import Message, Phase, Program
 from repro.sim.latency import QDR_LATENCY, LatencyModel
@@ -236,14 +235,12 @@ class FlowSimulator:
     def run_phase(self, phase: Phase, collect_messages: bool = False) -> PhaseResult:
         """Execute one synchronised round of messages.
 
-        Consumes the phase's prebuilt :class:`~repro.sim.batch
-        .MessageBatch` when one is attached (the job layer builds them at
-        materialisation time); phases without one are flattened here via
-        the same shared kernel, so both paths run the identical numpy
-        passes.
+        Reads only the phase's :class:`~repro.sim.batch.MessageBatch`;
+        ``Message`` objects are built only to name a message in an
+        error.
         """
-        msgs = phase.messages
-        if not msgs:
+        batch = phase.batch
+        if not batch.n:
             return PhaseResult(
                 label=phase.label,
                 duration=0.0,
@@ -259,7 +256,6 @@ class FlowSimulator:
         # version counter, so the cheap version check suffices here.
         self.state.refresh()
 
-        batch = phase_batch(phase)
         lens, ptr, flat = batch.lens, batch.ptr, batch.flat
         sizes = batch.sizes
         self._check_paths(phase, ptr, flat, sizes)
@@ -277,9 +273,9 @@ class FlowSimulator:
         problem = FairnessProblem(None, caps, prebuilt_flat=(lens, flat))
         truncated = 0
         if self.mode == "static":
-            finish = self._static_finish(msgs, problem, sizes)
+            finish = self._static_finish(phase, problem, sizes)
         else:
-            finish, truncated = self._dynamic_finish(msgs, problem, sizes)
+            finish, truncated = self._dynamic_finish(phase, problem, sizes)
             self.events_truncated += truncated
 
         # Per-phase busy-seconds snapshot: bytes over each link divided
@@ -295,7 +291,7 @@ class FlowSimulator:
         return PhaseResult(
             label=phase.label,
             duration=duration,
-            num_messages=len(msgs),
+            num_messages=batch.n,
             bytes_moved=float(sizes.sum()),
             transfer_time=float(finish.max()),
             message_times=times.tolist() if collect_messages else None,
@@ -353,8 +349,7 @@ class FlowSimulator:
         # capacities (the only view available after the fact).
         bytes_total = np.zeros(len(caps))
         for phase in program.phases:
-            if phase.messages:
-                bytes_total += phase_batch(phase).bytes_per_link(len(caps))
+            bytes_total += phase.batch.bytes_per_link(len(caps))
         return {
             int(l): float(bytes_total[l] / (caps[l] * transfer))
             for l in np.flatnonzero(bytes_total)
@@ -405,41 +400,53 @@ class FlowSimulator:
     def _heal_phase(self, phase: Phase) -> Phase:
         """Replace stale paths over disabled links via the reroute callback.
 
-        Without a callback the phase is returned untouched and
-        :meth:`run_phase` raises the stale-LFT diagnostic instead.
+        One mask gather over the phase's flat link array finds the
+        messages that cross a disabled link; only those are built as
+        :class:`~repro.sim.flows.Message` objects and handed to the
+        callback, and the batch is rebuilt with their new paths in
+        message order.  Without a callback the phase is returned
+        untouched and :meth:`run_phase` raises the stale-LFT diagnostic
+        instead.
         """
         if self.reroute is None:
             return phase
         self.state.refresh()
         if not self.state.disabled:
             return phase
-        healed: list[Message] = []
-        changed = False
-        for m in phase.messages:
-            dead = self.state.disabled_on(m.path)
-            if dead:
-                new_path = self.reroute(m)
-                if new_path is None:
-                    raise SimulationError(
-                        f"message {m.src}->{m.dst} in phase {phase.label!r} "
-                        f"cannot be rerouted: pair unreachable after cable "
-                        f"failure (dead link(s) {dead})"
-                    )
-                new_path = tuple(new_path)
-                still_dead = self.state.disabled_on(new_path)
-                if still_dead:
-                    raise SimulationError(
-                        f"reroute for message {m.src}->{m.dst} still crosses "
-                        f"disabled link(s) {still_dead}; the forwarding "
-                        "tables were not re-swept after the failure"
-                    )
-                m = replace(m, path=new_path)
-                self.messages_rerouted += 1
-                changed = True
-            healed.append(m)
-        if not changed:
+        batch = phase.batch
+        dead_csum = np.concatenate(
+            ([0], self.state.disabled_mask[batch.flat].cumsum())
+        )
+        hit = np.flatnonzero(dead_csum[batch.ptr[1:]] > dead_csum[batch.ptr[:-1]])
+        if not hit.size:
             return phase
-        return Phase(messages=healed, label=phase.label)
+        messages = phase.messages
+        new_paths: dict[int, tuple[int, ...]] = {}
+        for i in hit.tolist():
+            m = messages[i]
+            dead = self.state.disabled_on(m.path)
+            new_path = self.reroute(m)
+            if new_path is None:
+                raise SimulationError(
+                    f"message {m.src}->{m.dst} in phase {phase.label!r} "
+                    f"cannot be rerouted: pair unreachable after cable "
+                    f"failure (dead link(s) {dead})"
+                )
+            new_path = tuple(new_path)
+            still_dead = self.state.disabled_on(new_path)
+            if still_dead:
+                raise SimulationError(
+                    f"reroute for message {m.src}->{m.dst} still crosses "
+                    f"disabled link(s) {still_dead}; the forwarding "
+                    "tables were not re-swept after the failure"
+                )
+            new_paths[i] = new_path
+            self.messages_rerouted += 1
+        return Phase(
+            label=phase.label,
+            batch=batch.replace_paths(new_paths),
+            tag=phase.tag,
+        )
 
     def _check_paths(
         self,
@@ -508,7 +515,7 @@ class FlowSimulator:
         return self._swsw_mask
 
     def _raise_if_starved(
-        self, msgs: Sequence[Message], idx: np.ndarray, bad: np.ndarray
+        self, phase: Phase, idx: np.ndarray, bad: np.ndarray
     ) -> None:
         """Turn a non-finite time-to-finish into a named error.
 
@@ -516,25 +523,25 @@ class FlowSimulator:
         behaviour mapped that to 0.0, so starved flows "completed"
         instantly — the exact opposite of the truth.
         """
-        first = msgs[int(idx[int(np.flatnonzero(bad)[0])])]
+        first = phase.messages[int(idx[int(np.flatnonzero(bad)[0])])]
         raise SimulationError(
             f"flow {first.src}->{first.dst} ({first.size:.0f} B) is starved: "
             "its max-min fair rate is 0, so it would never finish"
         )
 
     def _static_finish(
-        self, msgs: Sequence[Message], problem: FairnessProblem, sizes: np.ndarray
+        self, phase: Phase, problem: FairnessProblem, sizes: np.ndarray
     ) -> np.ndarray:
         rates = problem.rates()
         with np.errstate(invalid="ignore"):
             finish = np.where(sizes > 0, sizes / rates, 0.0)
         bad = ~np.isfinite(finish)
         if bad.any():
-            self._raise_if_starved(msgs, np.arange(len(msgs)), bad)
+            self._raise_if_starved(phase, np.arange(len(sizes)), bad)
         return finish
 
     def _dynamic_finish(
-        self, msgs: Sequence[Message], problem: FairnessProblem, sizes: np.ndarray
+        self, phase: Phase, problem: FairnessProblem, sizes: np.ndarray
     ) -> tuple[np.ndarray, int]:
         """Finish times plus the count of safety-valve-truncated flows."""
         n = len(sizes)
@@ -569,7 +576,7 @@ class FlowSimulator:
                 ttf = rem / rates
                 bad = ~np.isfinite(ttf)
                 if bad.any():
-                    self._raise_if_starved(msgs, idx, bad)
+                    self._raise_if_starved(phase, idx, bad)
                 dt = float(ttf.min())
                 now += dt
                 rem = rem - rates * dt
@@ -599,6 +606,6 @@ class FlowSimulator:
                 ttf = rem / rates
                 bad = ~np.isfinite(ttf)
                 if bad.any():
-                    self._raise_if_starved(msgs, idx, bad)
+                    self._raise_if_starved(phase, idx, bad)
                 finish[idx] = now + ttf
         return finish, truncated

@@ -10,16 +10,21 @@ so workloads, collectives and benchmarks all speak one language.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.batch import MessageBatch
+from repro.sim.batch import MessageBatch
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One point-to-point transfer, already resolved onto the fabric.
+
+    Frozen: a phase stores its messages as one
+    :class:`~repro.sim.batch.MessageBatch`, and a ``Message`` is a
+    read-only record built from it, so an attribute write would edit
+    nothing.  Use :func:`dataclasses.replace` for a changed copy.
 
     Attributes
     ----------
@@ -45,33 +50,110 @@ class Message:
     tag: str = ""
 
 
-@dataclass(slots=True)
-class Phase:
-    """A synchronised round of messages.
+class PhaseMessages(Sequence):
+    """Read-only ``Message`` view of a phase's batch.
 
-    ``batch`` optionally carries the phase's prebuilt flat-array form
-    (:class:`~repro.sim.batch.MessageBatch`); builders that lower
-    rank-level phases (the job layer) attach it so the simulator skips
-    per-message flattening.  It is advisory: the simulator only trusts a
-    batch whose message count still matches, and code that edits
-    ``messages`` in place must call :meth:`invalidate_batch`.
+    ``len()`` is O(1); items are built on demand from the batch arrays,
+    for the per-message consumers (bandwidth readouts, diagnostics,
+    reroute callbacks).  There is no item assignment and no append: a
+    phase's messages change only by giving the phase a new batch.
     """
 
-    messages: list[Message] = field(default_factory=list)
-    label: str = ""
-    batch: "MessageBatch | None" = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("_phase",)
+
+    def __init__(self, phase: "Phase") -> None:
+        self._phase = phase
 
     def __len__(self) -> int:
-        return len(self.messages)
+        return self._phase.batch.n
+
+    def __getitem__(self, i):  # type: ignore[override]
+        n = len(self)
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(n))]
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("phase message index out of range")
+        b = self._phase.batch
+        return Message(
+            src=int(b.src[i]),
+            dst=int(b.dst[i]),
+            size=float(b.sizes[i]),
+            path=tuple(b.flat[b.ptr[i]:b.ptr[i + 1]].tolist()),
+            overhead=float(b.overheads[i]),
+            tag=self._phase.tag_of(i),
+        )
+
+    def __iter__(self) -> Iterator[Message]:
+        b = self._phase.batch
+        flat = b.flat.tolist()
+        ptr = b.ptr.tolist()
+        for i, (src, dst, size, overhead) in enumerate(zip(
+            b.src.tolist(), b.dst.tolist(), b.sizes.tolist(),
+            b.overheads.tolist(),
+        )):
+            yield Message(
+                src, dst, size, tuple(flat[ptr[i]:ptr[i + 1]]), overhead,
+                self._phase.tag_of(i),
+            )
+
+    def __repr__(self) -> str:
+        return f"PhaseMessages({list(self)!r})"
+
+
+class Phase:
+    """A synchronised round of messages, stored as one
+    :class:`~repro.sim.batch.MessageBatch`.
+
+    The batch is the phase's only content: builders (the job layer)
+    pass ``batch=`` directly, and a hand-built ``Phase(messages)`` is
+    flattened once here.  :attr:`messages` is a read-only view built on
+    demand from the batch, so there is no second copy to fall out of
+    step with it.  ``tag`` is every message's tag (a tuple of per-message
+    tags when they differ, as after merging phases of different
+    programs).
+    """
+
+    __slots__ = ("batch", "label", "tag")
+
+    def __init__(
+        self,
+        messages: Iterable[Message] = (),
+        label: str = "",
+        *,
+        batch: MessageBatch | None = None,
+        tag: str | tuple[str, ...] = "",
+    ) -> None:
+        if batch is None:
+            msgs = list(messages)
+            batch = MessageBatch.from_messages(msgs)
+            tags = tuple(m.tag for m in msgs)
+            if tags:
+                tag = tags[0] if len(set(tags)) == 1 else tags
+        elif messages:
+            raise TypeError("pass a phase's messages or its batch, not both")
+        self.batch = batch
+        self.label = label
+        self.tag = tag
+
+    @property
+    def messages(self) -> PhaseMessages:
+        """The phase's messages as a read-only view of the batch."""
+        return PhaseMessages(self)
+
+    def tag_of(self, i: int) -> str:
+        """Tag of message ``i``."""
+        return self.tag if isinstance(self.tag, str) else self.tag[i]
+
+    def __len__(self) -> int:
+        return self.batch.n
 
     def __iter__(self) -> Iterator[Message]:
         return iter(self.messages)
 
-    def invalidate_batch(self) -> None:
-        """Drop the prebuilt flat-array form after editing ``messages``."""
-        self.batch = None
+    def __repr__(self) -> str:
+        return f"Phase(label={self.label!r}, messages={self.batch.n})"
 
 
 @dataclass(slots=True)
@@ -100,7 +182,7 @@ class Program:
 
 def program_bytes(program: Program) -> float:
     """Total payload bytes a program injects (tests: byte conservation)."""
-    return sum(m.size for phase in program for m in phase)
+    return sum(size for phase in program for size in phase.batch.sizes.tolist())
 
 
 def merge_concurrent(programs: Iterable[Program], label: str = "") -> Program:
@@ -114,9 +196,15 @@ def merge_concurrent(programs: Iterable[Program], label: str = "") -> Program:
     out = Program(label=label)
     depth = max((len(p) for p in progs), default=0)
     for i in range(depth):
-        phase = Phase(label=f"{label}[{i}]")
-        for p in progs:
-            if i < len(p):
-                phase.messages.extend(p.phases[i].messages)
-        out.phases.append(phase)
+        parts = [p.phases[i] for p in progs if i < len(p)]
+        tags = [ph.tag for ph in parts if len(ph)]
+        if all(t == tags[0] and isinstance(t, str) for t in tags):
+            tag: str | tuple[str, ...] = tags[0] if tags else ""
+        else:
+            tag = tuple(ph.tag_of(j) for ph in parts for j in range(len(ph)))
+        out.phases.append(Phase(
+            label=f"{label}[{i}]",
+            batch=MessageBatch.concat([ph.batch for ph in parts]),
+            tag=tag,
+        ))
     return out

@@ -188,6 +188,8 @@ def emdl(
     one = job.allreduce(size, algorithm="ring")
     for step in range(steps):
         for ph in one.phases:
-            program.phases.append(Phase(list(ph.messages), label=f"emdl{step}"))
+            program.phases.append(
+                Phase(label=f"emdl{step}", batch=ph.batch, tag=ph.tag)
+            )
     t = sim.run(program).total_time
     return t + steps * compute_seconds

@@ -5,10 +5,12 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.units import BFO_PML_OVERHEAD, MIB
 from repro.ib.addressing import quadrant_of_lid
+from repro.ib import fabric as fabric_module
 from repro.ib.subnet_manager import OpenSM
 from repro.mpi.job import Job
 from repro.mpi.pml import BfoPml, Ob1Pml, ParxBfoPml
 from repro.routing.dfsssp import DfssspRouting
+from repro.routing.minhop import MinHopRouting
 from repro.routing.parx import (
     LARGE_LID_CHOICE,
     SMALL_LID_CHOICE,
@@ -16,6 +18,7 @@ from repro.routing.parx import (
 )
 from repro.sim.flows import program_bytes
 from repro.topology.hyperx import hyperx
+from repro.topology.t2hx import t2hx_hyperx
 
 
 @pytest.fixture(scope="module")
@@ -165,13 +168,53 @@ class TestJob:
         assert len(small) == 3  # binomial rounds
         assert len(large) == 1  # linear incast
 
-    def test_path_cache_reused(self, plain_plane):
+    def test_path_cache_reused(self, plain_plane, monkeypatch):
+        # Per-destination walks are memoised on the fabric: repeating a
+        # collective, or materialising it in a fresh job, walks nothing.
         net, fabric = plain_plane
         job = Job(fabric, net.terminals[:4])
-        job.alltoall(8)
-        cached = dict(job._resolve_cache)
-        job.alltoall(8)
-        assert job._resolve_cache == cached
+        first = job.alltoall(8)
+        walks = []
+        real_walk = fabric_module.walk_dest_links
+        monkeypatch.setattr(
+            fabric_module, "walk_dest_links",
+            lambda *args: walks.append(args) or real_walk(*args),
+        )
+        again = job.alltoall(8)
+        fresh = Job(fabric, net.terminals[:4]).alltoall(8)
+        assert walks == []
+        for a, b, c in zip(first.phases, again.phases, fresh.phases):
+            assert a.batch.flat.tolist() == b.batch.flat.tolist()
+            assert a.batch.flat.tolist() == c.batch.flat.tolist()
+
+    def test_table_rewrite_reaches_materialized_paths(self):
+        # A forwarding-table write keeps the topology version; the job
+        # must still resolve against the new table.
+        net = t2hx_hyperx(scale=4)  # 2x2 switches
+        fabric = OpenSM(net).run(MinHopRouting())
+        a = net.terminals[0]
+        sw = net.attached_switch(a)
+        # A destination two hops away: both of sw's neighbours are on
+        # a minimal path to it.
+        b = next(
+            t for t in net.terminals
+            if net.attached_switch(t) != sw
+            and not net.links_between(sw, net.attached_switch(t))
+        )
+        dsw = net.attached_switch(b)
+        dlid = fabric.lidmap.lid(b)
+        job = Job(fabric, [a, b])
+        old_path = tuple(fabric.path(a, b))
+        assert job.send(0, 1, 8).phases[0].messages[0].path == old_path
+        detour = next(
+            link for link in net.out_links(sw)
+            if net.is_switch(link.dst) and link.id != old_path[1]
+            and net.link(fabric.out_link(link.dst, dlid)).dst == dsw
+        )
+        fabric.set_route(sw, dlid, detour.id)
+        new_path = tuple(fabric.path(a, b))
+        assert new_path[1] == detour.id
+        assert job.send(0, 1, 8).phases[0].messages[0].path == new_path
 
     def test_messages_carry_pml_overhead(self, parx_plane):
         net, fabric = parx_plane

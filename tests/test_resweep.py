@@ -120,7 +120,6 @@ class TestAcceptanceScenario:
 
         def on_event(events, phase_index):
             report = resweep(fabric, engine, events=events)
-            job.invalidate_paths()
             reports.append(report)
             return report
 

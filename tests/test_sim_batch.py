@@ -4,9 +4,11 @@ The batched phase pipeline must be a pure representation change: a
 phase simulated through its prebuilt :class:`MessageBatch` produces
 *bit-identical* timings to the same phase flattened per message (the
 pre-batch inline arrays).  This file pins that — at the array level
-(``from_pool`` vs ``from_messages``), at the simulator level (random
-programs, static and dynamic, with and without fabric events), and on
-the paper's 672-node t2hx cell via golden durations.
+(``concat`` / ``replace_paths`` vs ``from_messages``), at the simulator
+level (random programs, static and dynamic, with and without fabric
+events), and on the paper's 672-node t2hx cell via golden durations.
+``tests/test_materialize_reference.py`` diffs the job layer's batches
+against the per-message reference materialiser.
 """
 
 import numpy as np
@@ -18,9 +20,9 @@ from repro.core.units import MIB
 from repro.ib.subnet_manager import OpenSM
 from repro.mpi.job import Job
 from repro.routing.dfsssp import DfssspRouting
-from repro.sim.batch import MessageBatch, PathPool, flatten_paths, phase_batch
+from repro.sim.batch import MessageBatch, flatten_paths
 from repro.sim.engine import FlowSimulator
-from repro.sim.flows import Message, Phase
+from repro.sim.flows import Message, Phase, Program
 from repro.topology.faults import FabricEvent
 from repro.topology.hyperx import hyperx
 from repro.workloads.patterns import rank_phase_arrays
@@ -54,25 +56,14 @@ class TestFlattenPaths:
         assert lens.size == 0 and ptr.tolist() == [0] and flat.size == 0
 
 
-class TestPathPool:
-    @given(paths=paths_strategy, split=st.integers(0, 12))
-    def test_incremental_build_matches_oneshot(self, paths, split):
-        # Adding in two tranches (with an arrays() call in between, which
-        # freezes the first tranche) must equal flattening all at once.
-        pool = PathPool()
-        for p in paths[:split]:
-            pool.add(p)
-        pool.arrays()
-        for p in paths[split:]:
-            pool.add(p)
-        starts, lens, flat = pool.arrays()
-        ref_lens, ref_ptr, ref_flat = flatten_paths(paths)
-        assert lens.tolist() == ref_lens.tolist()
-        assert starts.tolist() == ref_ptr[:-1].tolist()
-        assert flat.tolist() == ref_flat.tolist()
-
-
 # --- batch construction ------------------------------------------------------
+
+def _assert_same_arrays(got, ref):
+    for name in ("sizes", "overheads", "src", "dst", "lens", "ptr", "flat"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.tolist() == b.tolist(), name
+        assert a.dtype == b.dtype, name
+
 
 def _messages_from(paths, sizes, overhead):
     return [
@@ -93,22 +84,41 @@ class TestMessageBatch:
         ),
         overhead=st.floats(0.0, 1e-3),
     )
-    def test_from_pool_identical_to_from_messages(self, data, overhead):
+    def test_concat_identical_to_from_messages(self, data, overhead):
         paths = [p for p, _ in data]
         sizes = [s for _, s in data]
         msgs = _messages_from(paths, sizes, overhead)
         ref = MessageBatch.from_messages(msgs)
+        half = len(msgs) // 2
+        for got in (
+            MessageBatch.concat([
+                MessageBatch.from_messages(msgs[:half]),
+                MessageBatch.from_messages(msgs[half:]),
+            ]),
+            MessageBatch.concat([ref]),
+        ):
+            _assert_same_arrays(got, ref)
 
-        pool = PathPool()
-        pids = [pool.add(tuple(p)) for p in paths]
-        got = MessageBatch.from_pool(
-            pool, pids, sizes, overhead,
-            [m.src for m in msgs], [m.dst for m in msgs],
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 49), max_size=6),
+                st.lists(st.integers(0, 49), max_size=6),
+                st.booleans(),
+            ),
+            max_size=10,
+        ),
+    )
+    def test_replace_paths_identical_to_from_messages(self, data):
+        old = [p for p, _, _ in data]
+        new = [q if swap else p for p, q, swap in data]
+        sizes = [float(i) for i in range(len(data))]
+        got = MessageBatch.from_messages(_messages_from(old, sizes, 0.0))
+        got = got.replace_paths(
+            {i: tuple(q) for i, (_, q, swap) in enumerate(data) if swap}
         )
-        for name in ("sizes", "overheads", "src", "dst", "lens", "ptr", "flat"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.tolist() == b.tolist(), name
-            assert a.dtype == b.dtype, name
+        ref = MessageBatch.from_messages(_messages_from(new, sizes, 0.0))
+        _assert_same_arrays(got, ref)
 
     @given(
         data=st.lists(
@@ -128,31 +138,29 @@ class TestMessageBatch:
                 ref[lid] += m.size
         assert np.array_equal(batch.bytes_per_link(20), ref)
 
-    def test_pool_dedups_through_interning(self):
-        pool = PathPool()
-        pid = pool.add((1, 2, 3))
-        batch = MessageBatch.from_pool(
-            pool, [pid, pid, pid], [1.0, 2.0, 3.0], 0.0,
-            [0, 0, 0], [1, 1, 1],
-        )
-        assert len(pool) == 1
-        assert batch.flat.tolist() == [1, 2, 3] * 3
-
 
 class TestPhaseBatchStaleness:
     def test_attached_batch_is_used_while_counts_match(self):
-        phase = Phase(messages=[Message(0, 1, 1.0, (5,))])
-        b = MessageBatch.from_messages(phase.messages)
-        phase.batch = b
-        assert phase_batch(phase) is b
+        # The batch is the phase: its messages are read back from it.
+        b = MessageBatch.from_messages([Message(0, 1, 1.0, (5,))])
+        phase = Phase(batch=b, tag="t")
+        assert phase.batch is b and len(phase.messages) == 1
+        assert list(phase.messages) == [Message(0, 1, 1.0, (5,), 0.0, "t")]
+        # Giving the phase a new batch changes its messages with it.
+        phase.batch = MessageBatch.from_messages([Message(1, 0, 2.0, (6, 7))])
+        assert phase.messages[0].path == (6, 7) and len(phase) == 1
 
-    def test_count_mismatch_falls_back_to_messages(self):
+    def test_append_to_messages_is_refused(self):
         phase = Phase(messages=[Message(0, 1, 1.0, (5,))])
-        phase.batch = MessageBatch.from_messages(phase.messages)
-        phase.messages.append(Message(1, 0, 2.0, (6,)))
-        fresh = phase_batch(phase)
-        assert fresh is not phase.batch
-        assert fresh.n == 2 and fresh.flat.tolist() == [5, 6]
+        with pytest.raises(AttributeError):
+            phase.messages.append(Message(1, 0, 2.0, (6,)))
+        with pytest.raises((AttributeError, ValueError)):
+            phase.batch.flat[0] = 6
+        assert phase.batch.n == 1 and phase.batch.flat.tolist() == [5]
+
+    def test_hand_built_phase_keeps_per_message_tags(self):
+        msgs = [Message(0, 1, 1.0, (5,), tag="a"), Message(1, 0, 1.0, (6,), tag="b")]
+        assert list(Phase(msgs).messages) == msgs
 
     def test_in_place_edit_of_hand_built_phase_is_refused(self, env):
         # Editing a message while keeping the count must not leave the
@@ -179,19 +187,17 @@ class TestPhaseBatchStaleness:
             phase.messages[0].size = 4.0 * MIB
         assert FlowSimulator(net, mode="static").run_phase(phase).duration == before
 
-    def test_invalidate_batch(self):
-        phase = Phase(messages=[Message(0, 1, 1.0, (5,))])
-        phase.batch = MessageBatch.from_messages(phase.messages)
-        phase.invalidate_batch()
-        assert phase.batch is None
-
 
 # --- simulator-level equivalence ---------------------------------------------
 
 def _strip_batches(program):
-    for phase in program.phases:
-        phase.invalidate_batch()
-    return program
+    """``program`` with every phase rebuilt from its ``Message`` objects:
+    the per-message flattening the batched pipeline must match."""
+    return Program(
+        [Phase(list(p.messages), label=p.label) for p in program.phases],
+        label=program.label,
+        compute_between_phases=program.compute_between_phases,
+    )
 
 
 def _phase_fingerprint(result):
@@ -250,7 +256,7 @@ class TestBatchedRunEquivalence:
             job = Job(fabric, net.terminals[:6])
             prog = job.allgather(2 * MIB, algorithm="ring")
             if strip:
-                _strip_batches(prog)
+                prog = _strip_batches(prog)
             cable = prog.phases[1].messages[0].path[1]
             events = [
                 FabricEvent("degrade_cable", phase=2, cable=cable,
