@@ -14,12 +14,14 @@ Two cells are pinned:
   wall clock is asserted against :data:`WARM_CELL_BUDGET` (default 1 s,
   relaxable via ``PERF_WARM_CELL_BUDGET`` for noisy CI runners).
 * ``imb:Alltoall:1048576`` — the paper's heaviest collective (671
-  phases x 671 messages); recorded for the report JSON and checked
-  for cold/warm value identity, budget-free.  Most of its cost is
-  ``Job.materialize`` building the 450,912 messages and their paths,
-  not the fairness solve: a traced run of the benchmark's
-  ``alltoall-672`` workload on a 2-core host spent 2.29 s per op in
-  materialize against 0.41 s in the solve.
+  phases x 671 messages); checked for cold/warm value identity and
+  asserted against ``2 * WARM_CELL_BUDGET`` (2 s locally, 6 s under
+  the CI perf-smoke job's relaxed budget).  ``Job.materialize`` builds
+  each phase's :class:`~repro.sim.batch.MessageBatch` with array
+  operations, so simulating the phases, not building them, is most of
+  the cell: one fresh 672-rank Alltoall on a 2-core host took about
+  0.2 s in ``job.alltoall`` against 0.9 s in ``FlowSimulator.run``
+  (2.0-2.2 s and 0.9 s before the array-shaped materialize).
 
 JSON artifacts land in ``benchmarks/out/`` for the perf-smoke upload.
 """
@@ -119,7 +121,7 @@ def test_perf_warm_allreduce_cell(cache_dir, report_dir):
 
 def test_perf_warm_alltoall_cell(cache_dir, report_dir):
     """Warm 672-node Alltoall cell (671 phases): value-identical to the
-    cold cell; wall clock recorded for the report, not budgeted."""
+    cold cell, within twice the Allreduce cell's budget."""
     cold_s, cold = _run_cell("imb:Alltoall:1048576")
     assert cold["fabric_cache"]["routed"] == 1, cold["fabric_cache"]
     warm_s, warm = _run_cell("imb:Alltoall:1048576")
@@ -132,8 +134,10 @@ def test_perf_warm_alltoall_cell(cache_dir, report_dir):
         "num_nodes": NUM_NODES,
         "cold_s": cold_s,
         "warm_s": warm_s,
+        "warm_budget_s": 2 * WARM_CELL_BUDGET,
         "value": cold["best"],
     }
     (report_dir / "perf_phase_batch_alltoall.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )
+    assert warm_s < 2 * WARM_CELL_BUDGET, payload
